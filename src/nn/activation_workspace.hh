@@ -104,11 +104,12 @@ struct TransformerBlockCache
  * *encoded* forms the DPTC kernel actually consumes: per-head packed
  * K^T ([dk, tokens], growing by one packed column per token) and
  * packed V ([tokens, dk], growing by one packed row). The attention
- * decode entry points keep them in sync with the dense mirrors and
- * dispatch on them directly — zero per-step K/V re-encodes in steady
- * state; the dense mirrors remain the requantization source when a
- * new token's magnitude outgrows the cached beta, and the operands of
- * record for backends without encoded execution.
+ * decode path (decodeStepBatch) keeps them in sync with the dense
+ * mirrors and dispatches on them directly — zero per-step K/V
+ * re-encodes in steady state; the dense mirrors remain the
+ * requantization source when a new token's magnitude outgrows the
+ * cached beta, and the operands of record for backends without
+ * encoded execution.
  */
 /**
  * Immutable, shareable K/V of one attention layer over a fixed token

@@ -67,7 +67,7 @@ BatchedDecoder::step(const std::vector<InferenceSession *> &sessions,
                          static_cast<int64_t>(model->depth()));
 
     // Embed each request's new token at ITS position (identical to
-    // the row the solo decodeStep builds).
+    // the row the full-sequence forward builds).
     std::vector<Matrix> xs(n);
     std::vector<RunContext *> ctxs(n);
     for (size_t i = 0; i < n; ++i) {
@@ -88,7 +88,9 @@ BatchedDecoder::step(const std::vector<InferenceSession *> &sessions,
     }
 
     // Final LN + pooling per request (row-wise), then the LM head as
-    // one fused batch — the session's logitsFromNormedRow, verbatim.
+    // one fused batch. Mean pooling keeps a running row sum and
+    // divides (not multiplies by a reciprocal): bit-matches the
+    // full-sequence mean pooling.
     LayerNormCache ln_scratch;
     std::vector<Matrix> pooled(n);
     for (size_t i = 0; i < n; ++i) {

@@ -13,11 +13,14 @@
  * instead of O(layers x requests), and each dispatch carries enough
  * independent products to shard across every DPTC core replica.
  *
+ * This is the only decode implementation: InferenceSession::decodeStep
+ * is step() over a batch of one.
+ *
  * Correctness contract (the headline): because stream-addressed
  * products are pure functions of (operands, config, stream) and each
- * session draws from its own request_id lane in the solo call order,
- * the logits of a batched step are BIT-IDENTICAL to each session
- * running decodeStep alone — at any batch size, on the noisy engine.
+ * session draws from its own request_id lane in a fixed per-session
+ * order, the logits of a batched step are BIT-IDENTICAL to each
+ * session stepping alone — at any batch size, on the noisy engine.
  * tests/test_serve.cc asserts this at concurrency 1..16.
  */
 
@@ -37,9 +40,9 @@ class BatchedDecoder
   public:
     /**
      * Advance every session one decode step in lockstep: session i
-     * ingests tokens[i] and receives the logits decodeStep(tokens[i])
-     * would return, bit-identically; the sessions' K/V caches and
-     * noise lanes advance exactly as in the solo calls.
+     * ingests tokens[i] and receives the logits a batch holding it
+     * alone would return, bit-identically; the sessions' K/V caches
+     * and noise lanes advance exactly as in those solo steps.
      *
      * Requirements (std::invalid_argument otherwise): at least one
      * session; one token per session; no duplicate sessions; all

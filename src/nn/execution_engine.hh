@@ -145,8 +145,9 @@ struct EngineConfig
     size_t num_cores = 8;
 
     /**
-     * Serve pre-encoded weight operands (supportsWeightPlans()). Off
-     * forces the nn layers down the per-call re-encode path — the
+     * Serve pre-encoded weight operands (supportsWeightPlans()) and,
+     * on them, stacked-row decode projections (supportsRowStacking()).
+     * Off forces the nn layers down the per-call re-encode path — the
      * "cache off" side of the cached-vs-uncached identity tests and
      * of bench_engine_scaling's decode-regime scenario. Results are
      * bit-identical either way.
@@ -162,17 +163,6 @@ struct EngineConfig
      * decode scenario). Results are bit-identical either way.
      */
     bool kv_plans = true;
-
-    /**
-     * Fuse N requests' single-row projections into one stacked
-     * dispatch (supportsRowStacking()): the serve decode fusion that
-     * lets one DPTC tile carry rows from several requests. Off forces
-     * the per-row gemmBatch path — the "fusion off" baseline of
-     * bench_serve_throughput's dispatch-count comparison. Results are
-     * bit-identical either way (per-row betas + per-row stream
-     * seeding reproduce each solo product exactly).
-     */
-    bool row_stacking = true;
 
     /**
      * Per-replica fault injection (core::FaultModel). Disabled by
@@ -289,12 +279,13 @@ class ExecutionEngine : public GemmBackend
     // the replicas. Row i keeps its own beta and its own stream
     // seed, so result i is bit-identical to gemm(rows[i], w,
     // streams[i]) — the fusion changes dispatch count and tile
-    // occupancy, never values.
+    // occupancy, never values. It needs the shared encoded weight,
+    // so it is on exactly when weight plans are.
 
     bool
     supportsRowStacking() const override
     {
-        return cfg_.weight_plans && cfg_.row_stacking;
+        return cfg_.weight_plans;
     }
 
     std::vector<Matrix>

@@ -1,6 +1,5 @@
 #include "gemm_backend.hh"
 
-#include "nn/execution_engine.hh"
 #include "util/logging.hh"
 
 namespace lt {
@@ -106,145 +105,6 @@ IdealBackend::gemmBatch(
         results.push_back(matmul(a, b));
     }
     return results;
-}
-
-PhotonicBackend::PhotonicBackend(const core::DptcConfig &cfg,
-                                 core::EvalMode mode)
-    : engine_(std::make_unique<ExecutionEngine>(cfg, mode))
-{
-}
-
-PhotonicBackend::~PhotonicBackend() = default;
-
-Matrix
-PhotonicBackend::gemm(const Matrix &a, const Matrix &b)
-{
-    return engine_->gemm(a, b);
-}
-
-Matrix
-PhotonicBackend::gemm(const Matrix &a, const Matrix &b, uint64_t stream)
-{
-    return engine_->gemm(a, b, stream);
-}
-
-std::vector<Matrix>
-PhotonicBackend::gemmBatch(
-    const std::vector<std::pair<const Matrix *, const Matrix *>>
-        &products)
-{
-    return engine_->gemmBatch(products);
-}
-
-std::vector<Matrix>
-PhotonicBackend::gemmBatch(
-    const std::vector<std::pair<const Matrix *, const Matrix *>>
-        &products,
-    const std::vector<uint64_t> &streams)
-{
-    return engine_->gemmBatch(products, streams);
-}
-
-Matrix
-PhotonicBackend::gemm(const ConstMatrixView &a,
-                      const ConstMatrixView &b, uint64_t stream)
-{
-    return engine_->gemm(a, b, stream);
-}
-
-std::vector<Matrix>
-PhotonicBackend::gemmBatch(
-    const std::vector<std::pair<ConstMatrixView, ConstMatrixView>>
-        &products,
-    const std::vector<uint64_t> &streams)
-{
-    return engine_->gemmBatch(products, streams);
-}
-
-Matrix
-PhotonicBackend::gemm(const Matrix &a, const core::EncodedOperand &w,
-                      uint64_t stream)
-{
-    return engine_->gemm(a, w, stream);
-}
-
-std::vector<Matrix>
-PhotonicBackend::gemmBatch(
-    const std::vector<
-        std::pair<const Matrix *, const core::EncodedOperand *>>
-        &products,
-    const std::vector<uint64_t> &streams)
-{
-    return engine_->gemmBatch(products, streams);
-}
-
-std::vector<Matrix>
-PhotonicBackend::gemmBatch(
-    const std::vector<
-        std::pair<ConstMatrixView, const core::EncodedOperand *>>
-        &products,
-    const std::vector<uint64_t> &streams)
-{
-    return engine_->gemmBatch(products, streams);
-}
-
-bool
-PhotonicBackend::supportsWeightPlans() const
-{
-    return engine_->supportsWeightPlans();
-}
-
-core::EncodedOperand
-PhotonicBackend::encodeWeight(const Matrix &w)
-{
-    return engine_->encodeWeight(w);
-}
-
-bool
-PhotonicBackend::supportsRowStacking() const
-{
-    return engine_->supportsRowStacking();
-}
-
-std::vector<Matrix>
-PhotonicBackend::gemmRowStacked(
-    const std::vector<ConstMatrixView> &rows,
-    const core::EncodedOperand &w,
-    const std::vector<uint64_t> &streams)
-{
-    return engine_->gemmRowStacked(rows, w, streams);
-}
-
-bool
-PhotonicBackend::supportsKvPlans() const
-{
-    return engine_->supportsKvPlans();
-}
-
-void
-PhotonicBackend::encodeKvInto(core::EncodedOperand &op,
-                              const ConstMatrixView &m,
-                              core::OperandSide side)
-{
-    engine_->encodeKvInto(op, m, side);
-}
-
-const GemmStats &
-PhotonicBackend::stats() const
-{
-    return engine_->stats();
-}
-
-void
-PhotonicBackend::resetStats()
-{
-    engine_->resetStats();
-}
-
-core::EvalMode
-PhotonicBackend::mode() const
-{
-    return engine_->mode();
 }
 
 } // namespace nn

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -36,8 +35,6 @@
 
 namespace lt {
 namespace nn {
-
-class ExecutionEngine;
 
 /**
  * A GEMM dispatch failed integrity verification beyond the engine's
@@ -441,77 +438,6 @@ class IdealBackend : public GemmBackend
     gemmBatch(const std::vector<std::pair<ConstMatrixView,
                                           ConstMatrixView>> &products,
               const std::vector<uint64_t> &streams) override;
-};
-
-/**
- * Photonic GEMM: tiles the product over the DPTC functional model
- * with the configured noise (Eq. 9), beta normalization, and DAC
- * quantization. This is the paper's "software model" forward path.
- * Execution is delegated to a multi-core ExecutionEngine; results are
- * bit-identical at any thread count (counter-seeded tile noise).
- */
-class PhotonicBackend : public GemmBackend
-{
-  public:
-    explicit PhotonicBackend(const core::DptcConfig &cfg,
-                             core::EvalMode mode = core::EvalMode::Noisy);
-    ~PhotonicBackend() override;
-
-    Matrix gemm(const Matrix &a, const Matrix &b) override;
-    Matrix gemm(const Matrix &a, const Matrix &b,
-                uint64_t stream) override;
-    Matrix gemm(const Matrix &a, const core::EncodedOperand &w,
-                uint64_t stream) override;
-
-    Matrix gemm(const ConstMatrixView &a, const ConstMatrixView &b,
-                uint64_t stream) override;
-
-    std::vector<Matrix>
-    gemmBatch(const std::vector<std::pair<const Matrix *,
-                                          const Matrix *>> &products)
-        override;
-    std::vector<Matrix>
-    gemmBatch(const std::vector<std::pair<const Matrix *,
-                                          const Matrix *>> &products,
-              const std::vector<uint64_t> &streams) override;
-    std::vector<Matrix>
-    gemmBatch(const std::vector<std::pair<ConstMatrixView,
-                                          ConstMatrixView>> &products,
-              const std::vector<uint64_t> &streams) override;
-    std::vector<Matrix>
-    gemmBatch(const std::vector<
-                  std::pair<const Matrix *,
-                            const core::EncodedOperand *>> &products,
-              const std::vector<uint64_t> &streams) override;
-    std::vector<Matrix>
-    gemmBatch(const std::vector<
-                  std::pair<ConstMatrixView,
-                            const core::EncodedOperand *>> &products,
-              const std::vector<uint64_t> &streams) override;
-
-    bool supportsWeightPlans() const override;
-    core::EncodedOperand encodeWeight(const Matrix &w) override;
-
-    bool supportsRowStacking() const override;
-    std::vector<Matrix>
-    gemmRowStacked(const std::vector<ConstMatrixView> &rows,
-                   const core::EncodedOperand &w,
-                   const std::vector<uint64_t> &streams) override;
-
-    bool supportsKvPlans() const override;
-    void encodeKvInto(core::EncodedOperand &op, const ConstMatrixView &m,
-                      core::OperandSide side) override;
-
-    core::EvalMode mode() const;
-
-    /** Stats live on the wrapped engine — one source of truth. */
-    const GemmStats &stats() const override;
-    void resetStats() override;
-
-    ExecutionEngine &engine() { return *engine_; }
-
-  private:
-    std::unique_ptr<ExecutionEngine> engine_;
 };
 
 } // namespace nn

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/batched_decoder.hh"
 #include "obs/trace.hh"
 
 namespace lt {
@@ -358,49 +359,7 @@ InferenceSession::decodeStep(int token)
     obs::TraceScope span("session/decode_step", request_id_,
                          "context",
                          static_cast<int64_t>(len_ + 1));
-    const TransformerConfig &cfg = model_->config();
-    if (len_ + 1 > cfg.max_tokens)
-        throw std::invalid_argument(
-            "decode past the positional table: context of " +
-            std::to_string(len_ + 1) + " tokens exceeds max_tokens = " +
-            std::to_string(cfg.max_tokens));
-
-    // Embed the new token at position len_ (identical to the row the
-    // full-sequence forward would build).
-    Matrix x = model_->token_embed_->embedRow(token);
-    for (size_t c = 0; c < cfg.dim; ++c)
-        x(0, c) += model_->pos_(len_, c);
-
-    // One row through every block, attending to the K/V cache.
-    if (ws_.blocks.size() != model_->depth())
-        ws_.blocks.resize(model_->depth());
-    for (size_t l = 0; l < model_->depth(); ++l)
-        x = model_->block(l).decodeStep(x, kv_[l], ws_.blocks[l],
-                                        ctx_);
-
-    Matrix normed = model_->final_ln_.forward(x, ws_.final_ln);
-    tokens_.push_back(token);
-    len_ += 1;
-    return logitsFromNormedRow(normed);
-}
-
-Matrix
-InferenceSession::logitsFromNormedRow(const Matrix &normed_row)
-{
-    const TransformerConfig &cfg = model_->config();
-    Matrix pooled(1, cfg.dim);
-    if (cfg.pooling == Pooling::Mean) {
-        for (size_t c = 0; c < cfg.dim; ++c)
-            pooled_sum_(0, c) += normed_row(0, c);
-        // Divide (not multiply by a reciprocal): bit-matches the
-        // full-sequence mean pooling.
-        for (size_t c = 0; c < cfg.dim; ++c)
-            pooled(0, c) =
-                pooled_sum_(0, c) / static_cast<double>(len_);
-    } else {
-        pooled = normed_row;
-    }
-    return model_->head_.forward(pooled, ws_.head, ctx_);
+    return BatchedDecoder::step({this}, {token}).front();
 }
 
 } // namespace nn

@@ -15,9 +15,11 @@
  * prefill() runs the prompt as one (causal) full-sequence forward and
  * lifts the per-head K/V the forward already materialized into the
  * cache; decodeStep() then pushes a single token row through every
- * layer, routing the skinny per-head QK^T / AV products against the
- * cache through GemmBackend::gemmBatch — the exact low-intensity
- * traffic nn/llm_workload.hh's analytic decodeStepWorkload() models
+ * layer as a batch of one on BatchedDecoder::step — the one decode
+ * implementation, shared with the serve layer's fused steps. The
+ * skinny per-head QK^T / AV products against the cache run through
+ * GemmBackend::gemmBatch — the exact low-intensity traffic
+ * nn/llm_workload.hh's analytic decodeStepWorkload() models
  * (bench_llm_decode cross-checks the two).
  *
  * Determinism: each session draws noise from its own lane (derived
@@ -193,7 +195,8 @@ class InferenceSession
      * Append one token and return the logits after it — equal to a
      * full-sequence forward over the whole context (see the parity
      * contract above). A decodeStep on a fresh session is a prefill
-     * of one token. Throws std::invalid_argument when the context
+     * of one token; otherwise it is BatchedDecoder::step over this
+     * session alone. Throws std::invalid_argument when the context
      * would exceed TransformerConfig::max_tokens.
      */
     Matrix decodeStep(int token);
@@ -211,8 +214,6 @@ class InferenceSession
 
   private:
     friend class BatchedDecoder;
-
-    Matrix logitsFromNormedRow(const Matrix &normed_row);
 
     /**
      * Validate + map a shared prefix onto an empty session (segment

@@ -552,199 +552,6 @@ MultiHeadSelfAttention::syncKvEncodedHead(AttentionKvCache &kv,
     }
 }
 
-Matrix
-MultiHeadSelfAttention::decodeStep(const Matrix &x,
-                                   AttentionKvCache &kv,
-                                   AttentionCache &scratch,
-                                   RunContext &ctx) const
-{
-    if (!causal_)
-        throw std::invalid_argument(
-            "decodeStep requires causal attention: a K/V cache only "
-            "holds the past");
-    if (x.rows() != 1 || x.cols() != dim_)
-        throw std::invalid_argument(
-            "decodeStep expects one [1, dim] token row");
-
-    Matrix q = wq_.forward(x, scratch.wq, ctx);
-    Matrix k = wk_.forward(x, scratch.wk, ctx);
-    Matrix v = wv_.forward(x, scratch.wv, ctx);
-
-    if (kv.k.size() != heads_) {
-        kv.k.assign(heads_, Matrix());
-        kv.v.assign(heads_, Matrix());
-        kv.tokens = 0;
-    }
-    const bool encoded = prepareKvEncoded(kv, *ctx.backend);
-
-    // Append this token's per-head K/V to the cache — an amortized
-    // O(dk) row write to each dense mirror, plus (on encoded-operand
-    // backends) an O(dk) packed append to the encoded mirrors — and
-    // build the per-head query rows, all in the quantized operand
-    // domain.
-    std::vector<Matrix> qh(heads_);
-    for (size_t h = 0; h < heads_; ++h) {
-        Matrix q_row = sliceCols(q, h * dk_, dk_);
-        Matrix k_row = sliceCols(k, h * dk_, dk_);
-        Matrix v_row = sliceCols(v, h * dk_, dk_);
-        if (ctx.quant.enabled) {
-            q_row = fakeQuant(q_row, ctx.quant.act_bits);
-            k_row = fakeQuant(k_row, ctx.quant.act_bits);
-            v_row = fakeQuant(v_row, ctx.quant.act_bits);
-        }
-        appendRow(kv.k[h], k_row);
-        appendRow(kv.v[h], v_row);
-        if (encoded)
-            syncKvEncodedHead(kv, h, k_row, v_row, *ctx.backend);
-        qh[h] = std::move(q_row);
-    }
-    kv.tokens += 1;
-
-    // QK^T against the cache: per head a skinny [1, dk] x [dk, t] row
-    // — the low-intensity decode traffic — batched on the backend.
-    // Encoded-operand backends dispatch straight on the cached packed
-    // K^T (zero re-encodes); others read K through a transposed view
-    // (zero re-strided copies). Bit-identical either way.
-    //
-    // With a shared prefix segment attached, every head contributes
-    // TWO products — segment K^T first, then the private tail K^T —
-    // whose score rows concatenate into one context-wide row before a
-    // single softmax. With no segment the loops below degenerate to
-    // exactly the historical one-product-per-head path: same operands,
-    // same dispatch, same stream draws.
-    const KvLayerSegment *seg = kv.segment.get();
-    if (seg && seg->k.size() != heads_)
-        throw std::invalid_argument(
-            "decodeStep: shared K/V segment holds " +
-            std::to_string(seg->k.size()) +
-            " heads for an attention of " + std::to_string(heads_));
-    const size_t p_tokens = seg ? seg->tokens : 0;
-    const size_t per_head = seg ? 2 : 1;
-    // Segment encodings are immutable; dispatch on them only when they
-    // were packed for THIS backend's core geometry. A mismatch demotes
-    // the whole step to dense views — values are bit-identical either
-    // way (the encoded/dense parity contract), only the dispatch path
-    // differs.
-    const bool seg_encoded =
-        seg == nullptr ||
-        (seg->encoded_backend_uid == ctx.backend->uid() &&
-         seg->ek_t.size() == heads_ && seg->ev.size() == heads_);
-    const bool dispatch_encoded = encoded && seg_encoded;
-
-    std::vector<uint64_t> qk_streams;
-    qk_streams.reserve(heads_ * per_head);
-    for (size_t h = 0; h < heads_ * per_head; ++h)
-        qk_streams.push_back(ctx.stream.next());
-    std::vector<Matrix> scores;
-    if (dispatch_encoded) {
-        std::vector<
-            std::pair<ConstMatrixView, const core::EncodedOperand *>>
-            qk_ops;
-        qk_ops.reserve(heads_ * per_head);
-        for (size_t h = 0; h < heads_; ++h) {
-            if (seg)
-                qk_ops.emplace_back(qh[h].view(), &seg->ek_t[h]);
-            qk_ops.emplace_back(qh[h].view(), &kv.ek_t[h]);
-        }
-        scores = ctx.backend->gemmBatch(qk_ops, qk_streams);
-    } else {
-        std::vector<std::pair<ConstMatrixView, ConstMatrixView>>
-            qk_ops;
-        qk_ops.reserve(heads_ * per_head);
-        for (size_t h = 0; h < heads_; ++h) {
-            if (seg)
-                qk_ops.emplace_back(qh[h].view(),
-                                    seg->k[h].transposedView());
-            qk_ops.emplace_back(qh[h].view(),
-                                kv.k[h].transposedView());
-        }
-        scores = ctx.backend->gemmBatch(qk_ops, qk_streams);
-    }
-
-    double inv_sqrt_dk = 1.0 / std::sqrt(static_cast<double>(dk_));
-    std::vector<Matrix> probs(heads_);
-    for (size_t h = 0; h < heads_; ++h) {
-        Matrix row;
-        if (seg) {
-            // One score row over the whole context — segment columns,
-            // then tail columns — so the softmax (and its
-            // quantization) spans shared and private positions
-            // together, as a contiguous cache would.
-            row = Matrix(1, p_tokens + kv.tokens);
-            const Matrix &s_seg = scores[h * 2];
-            const Matrix &s_tail = scores[h * 2 + 1];
-            for (size_t c = 0; c < p_tokens; ++c)
-                row(0, c) = s_seg(0, c);
-            for (size_t c = 0; c < kv.tokens; ++c)
-                row(0, p_tokens + c) = s_tail(0, c);
-        } else {
-            row = std::move(scores[h]);
-        }
-        for (double &s : row.data())
-            s *= inv_sqrt_dk;
-        Matrix p = rowSoftmax(row);
-        probs[h] = ctx.quant.enabled
-                       ? fakeQuant(p, ctx.quant.act_bits)
-                       : std::move(p);
-    }
-
-    // AV against the cache: [1, t] x [t, dk] per head, on the cached
-    // encoded V when available. The segment's probability columns and
-    // the tail's are leading-dimension views of the one quantized row,
-    // and each head's context is the fixed-order sum segment + tail.
-    std::vector<uint64_t> av_streams;
-    av_streams.reserve(heads_ * per_head);
-    for (size_t h = 0; h < heads_ * per_head; ++h)
-        av_streams.push_back(ctx.stream.next());
-    std::vector<Matrix> ctx_heads;
-    if (dispatch_encoded) {
-        std::vector<
-            std::pair<ConstMatrixView, const core::EncodedOperand *>>
-            av_ops;
-        av_ops.reserve(heads_ * per_head);
-        for (size_t h = 0; h < heads_; ++h) {
-            if (seg) {
-                av_ops.emplace_back(probs[h].colsView(0, p_tokens),
-                                    &seg->ev[h]);
-                av_ops.emplace_back(
-                    probs[h].colsView(p_tokens, kv.tokens),
-                    &kv.ev[h]);
-            } else {
-                av_ops.emplace_back(probs[h].view(), &kv.ev[h]);
-            }
-        }
-        ctx_heads = ctx.backend->gemmBatch(av_ops, av_streams);
-    } else {
-        std::vector<std::pair<ConstMatrixView, ConstMatrixView>>
-            av_ops;
-        av_ops.reserve(heads_ * per_head);
-        for (size_t h = 0; h < heads_; ++h) {
-            if (seg) {
-                av_ops.emplace_back(probs[h].colsView(0, p_tokens),
-                                    seg->v[h].view());
-                av_ops.emplace_back(
-                    probs[h].colsView(p_tokens, kv.tokens),
-                    kv.v[h].view());
-            } else {
-                av_ops.emplace_back(probs[h].view(), kv.v[h].view());
-            }
-        }
-        ctx_heads = ctx.backend->gemmBatch(av_ops, av_streams);
-    }
-
-    Matrix context(1, dim_, 0.0);
-    for (size_t h = 0; h < heads_; ++h) {
-        if (seg) {
-            Matrix head_ctx = std::move(ctx_heads[h * 2]);
-            addInPlace(head_ctx, ctx_heads[h * 2 + 1]);
-            pasteCols(context, head_ctx, h * dk_);
-        } else {
-            pasteCols(context, ctx_heads[h], h * dk_);
-        }
-    }
-    return wo_.forward(context, scratch.wo, ctx);
-}
-
 std::vector<Matrix>
 MultiHeadSelfAttention::decodeStepBatch(
     const std::vector<Matrix> &xs,
@@ -769,15 +576,17 @@ MultiHeadSelfAttention::decodeStepBatch(
     GemmBackend *backend = ctxs.front()->backend;
 
     // Q/K/V projections, each fused across the N requests (request i
-    // draws its wq, then wk, then wv stream — the solo order).
+    // draws its wq, then wk, then wv stream, whatever else rides in
+    // the batch).
     std::vector<Matrix> q = wq_.forwardBatch(xs, ctxs);
     std::vector<Matrix> k = wk_.forwardBatch(xs, ctxs);
     std::vector<Matrix> v = wv_.forwardBatch(xs, ctxs);
 
-    // Per request: append this token's per-head K/V to ITS cache and
-    // build the per-head query rows, in the quantized operand domain
-    // (identical to the solo decodeStep mutation, encoded mirrors
-    // included).
+    // Per request: append this token's per-head K/V to ITS cache — an
+    // amortized O(dk) row write to each dense mirror, plus (on
+    // encoded-operand backends) an O(dk) packed append to the encoded
+    // mirrors — and build the per-head query rows, all in the
+    // quantized operand domain.
     const bool encoded = backend->supportsKvPlans();
     std::vector<std::vector<Matrix>> qh(n);
     for (size_t i = 0; i < n; ++i) {
@@ -810,10 +619,10 @@ MultiHeadSelfAttention::decodeStepBatch(
 
     // All QK^T rows in one batch. Request i draws its head streams in
     // head order — and, when it carries a shared prefix segment, its
-    // segment stream before its tail stream per head — exactly as
-    // solo; the (i, h) grouping of the dispatch is invisible to the
-    // stream-addressed backend. Encoded-K/V backends dispatch on the
-    // cached packed K^T; others read each K mirror through a
+    // segment stream before its tail stream per head — exactly as in
+    // a batch of one; the (i, h) grouping of the dispatch is invisible
+    // to the stream-addressed backend. Encoded-K/V backends dispatch
+    // on the cached packed K^T; others read each K mirror through a
     // transposed view. Requests with and without segments mix freely
     // in one batch: op_base[i] indexes request i's products.
     std::vector<const KvLayerSegment *> segs(n);
@@ -886,8 +695,10 @@ MultiHeadSelfAttention::decodeStepBatch(
         for (size_t h = 0; h < heads_; ++h) {
             Matrix row;
             if (segs[i]) {
-                // Concatenate segment + tail score columns, then one
-                // softmax over the whole context (see decodeStep).
+                // One score row over the whole context — segment
+                // columns, then tail columns — so the softmax (and its
+                // quantization) spans shared and private positions
+                // together, as a contiguous cache would.
                 row = Matrix(1, p_tokens + kvs[i]->tokens);
                 const Matrix &s_seg = scores[op_base[i] + h * 2];
                 const Matrix &s_tail = scores[op_base[i] + h * 2 + 1];
@@ -981,7 +792,8 @@ MultiHeadSelfAttention::decodeStepBatch(
 
 void
 MultiHeadSelfAttention::seedKvCache(const AttentionCache &cache,
-                                    AttentionKvCache &kv) const
+                                    AttentionKvCache &kv,
+                                    GemmBackend &backend) const
 {
     // Both mirrors keep the forward's row-major [tokens, dk] layout —
     // no transpose at all; the QK^T dispatch reads K through a
@@ -989,17 +801,10 @@ MultiHeadSelfAttention::seedKvCache(const AttentionCache &cache,
     kv.k = cache.k;
     kv.v = cache.v;
     kv.tokens = cache.k.empty() ? 0 : cache.k.front().rows();
-    kv.ek_t.clear();
-    kv.ev.clear();
+    // Forget the encoded mirrors' home so prepareKvEncoded replaces
+    // them with empty operands (or, without encoded K/V support,
+    // clears them): stale encodings never survive a reseed.
     kv.encoded_backend_uid = 0;
-}
-
-void
-MultiHeadSelfAttention::seedKvCache(const AttentionCache &cache,
-                                    AttentionKvCache &kv,
-                                    GemmBackend &backend) const
-{
-    seedKvCache(cache, kv);
     if (!prepareKvEncoded(kv, backend))
         return;
     // Encode the prompt's K/V once, here, so every decode step is an
@@ -1115,22 +920,6 @@ TransformerBlock::backward(const Matrix &dy,
         ln1_.backward(attn_.backward(dh, cache.attn), cache.ln1);
     addInPlace(dx, dh);
     return dx;
-}
-
-Matrix
-TransformerBlock::decodeStep(const Matrix &x, AttentionKvCache &kv,
-                             TransformerBlockCache &scratch,
-                             RunContext &ctx) const
-{
-    // LayerNorm, FFN, and the residuals are row-wise: running them on
-    // the single new row matches the full-sequence forward exactly.
-    Matrix h = attn_.decodeStep(ln1_.forward(x, scratch.ln1), kv,
-                                scratch.attn, ctx);
-    addInPlace(h, x);
-    Matrix y =
-        ffn_.forward(ln2_.forward(h, scratch.ln2), scratch.ffn, ctx);
-    addInPlace(y, h);
-    return y;
 }
 
 std::vector<Matrix>

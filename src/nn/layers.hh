@@ -267,27 +267,19 @@ class MultiHeadSelfAttention
     Matrix backward(const Matrix &dy, const AttentionCache &cache);
 
     /**
-     * Incremental decode: run ONE new token row [1, dim] against the
-     * session's growing K/V cache. The row's K/V are appended to the
-     * cache (in the quantized domain the cache stores), and the
-     * per-head QK^T / AV score and context rows execute as one
-     * gemmBatch on the backend — this is the skinny, memory-bound
-     * traffic of paper Section VI-B actually running on the engine.
-     * Requires causal attention (the cache only holds the past).
-     */
-    Matrix decodeStep(const Matrix &x, AttentionKvCache &kv,
-                      AttentionCache &scratch, RunContext &ctx) const;
-
-    /**
-     * Cross-request lockstep decode: one new token row per request,
-     * each against its own K/V cache and noise lane, with the
-     * same-shape projection row-GEMMs of all N requests fused into
-     * single gemmBatch calls (one per projection, one for all N*heads
-     * QK^T rows, one for all N*heads AV rows). Result i and the
-     * mutation of kvs[i] are bit-identical to
-     * decodeStep(xs[i], *kvs[i], scratch, *ctxs[i]) running alone —
-     * the continuous-batching correctness contract. All ctxs must
-     * share one backend.
+     * Incremental decode — the one decode implementation. Runs one new
+     * token row [1, dim] per request, each against its own growing K/V
+     * cache and noise lane. Each row's K/V are appended to its cache
+     * (in the quantized domain the cache stores), and the per-head
+     * QK^T / AV score and context rows run against the cache — the
+     * skinny, memory-bound traffic of paper Section VI-B on the
+     * engine. The same-shape work of all N requests fuses: one
+     * dispatch per projection, one gemmBatch for all N*heads QK^T
+     * rows, one for all N*heads AV rows. Result i and the mutation of
+     * kvs[i] are bit-identical to a batch holding request i alone —
+     * the continuous-batching correctness contract. Requires causal
+     * attention (the cache only holds the past); all ctxs must share
+     * one backend.
      */
     std::vector<Matrix>
     decodeStepBatch(const std::vector<Matrix> &xs,
@@ -296,17 +288,11 @@ class MultiHeadSelfAttention
 
     /**
      * Seed a decode K/V cache from a prefill forward's caches (the
-     * per-head quantized K/V the forward already materialized).
-     * Dense mirrors only; any previous encoded mirrors are dropped.
-     */
-    void seedKvCache(const AttentionCache &cache,
-                     AttentionKvCache &kv) const;
-
-    /**
-     * Seed and, when the backend executes encoded K/V operands,
-     * build the encoded mirrors up front (counts the per-head
-     * kv_encode misses here, at prefill, so steady-state decode
-     * performs zero K/V encodes).
+     * per-head quantized K/V the forward already materialized) and,
+     * when the backend executes encoded K/V operands, build the
+     * encoded mirrors up front (counts the per-head kv_encode misses
+     * here, at prefill, so steady-state decode performs zero K/V
+     * encodes). On other backends the encoded mirrors are dropped.
      */
     void seedKvCache(const AttentionCache &cache, AttentionKvCache &kv,
                      GemmBackend &backend) const;
@@ -389,17 +375,13 @@ class TransformerBlock
     Matrix backward(const Matrix &dy,
                     const TransformerBlockCache &cache);
 
-    /** Incremental decode of one token row (see attention). */
-    Matrix decodeStep(const Matrix &x, AttentionKvCache &kv,
-                      TransformerBlockCache &scratch,
-                      RunContext &ctx) const;
-
     /**
-     * Cross-request lockstep decode of one token row per request (see
+     * Incremental decode of one token row per request (see
      * MultiHeadSelfAttention::decodeStepBatch): LayerNorms and
-     * residuals run row-wise per request, every projection fuses
-     * across requests. Bit-identical per request to the solo
-     * decodeStep.
+     * residuals run row-wise per request — on the single new row they
+     * match the full-sequence forward exactly — and every projection
+     * fuses across requests. Bit-identical per request to a batch of
+     * one.
      */
     std::vector<Matrix>
     decodeStepBatch(const std::vector<Matrix> &xs,

@@ -1,6 +1,7 @@
 #include "logging.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
 namespace lt {
@@ -36,7 +37,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "fatal: " << msg << "\n  @ " << file << ":" << line
               << std::endl;
-    std::exit(1);
+    // Flush, then _Exit: std::exit would run static destructors —
+    // among them the global ThreadPool's, which joins workers that do
+    // not exist in a forked child (gtest death tests) and deadlocks or
+    // faults when lt_fatal is raised from a pool task.
+    std::cout.flush();
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -5,7 +5,8 @@
  * Two error severities are distinguished, following the gem5 convention:
  *  - panic(): an internal invariant was violated (a library bug); aborts.
  *  - fatal(): the simulation cannot continue due to a user-level error
- *    (bad configuration, invalid arguments); exits with an error code.
+ *    (bad configuration, invalid arguments); flushes output and exits
+ *    with code 1 without running static destructors.
  * inform() and warn() print status without stopping the program.
  */
 

@@ -553,17 +553,16 @@ TEST(DecodeKvCache, EncodedBlockPointersStableAcrossMaxTokensAppends)
     nn::MultiHeadSelfAttention attn(cfg.dim, cfg.heads, rng,
                                     /*causal=*/true);
     nn::AttentionKvCache kv;
-    nn::AttentionCache scratch;
     nn::RunContext ctx{&engine, nn::QuantConfig::w8a8(),
                        nn::NoiseStream(3), /*inference=*/true};
 
     Matrix x(1, cfg.dim);
-    auto nextRow = [&] {
+    auto step = [&] {
         for (double &v : x.data())
             v = rng.uniform(-1.0, 1.0);
-        return x;
+        attn.decodeStepBatch({x}, {&kv}, {&ctx});
     };
-    attn.decodeStep(nextRow(), kv, scratch, ctx); // seeds mirrors
+    step(); // seeds mirrors
     kv.reserve(cfg.max_tokens);
     ASSERT_EQ(kv.ek_t.size(), static_cast<size_t>(cfg.heads));
     ASSERT_EQ(kv.ev.size(), static_cast<size_t>(cfg.heads));
@@ -574,7 +573,7 @@ TEST(DecodeKvCache, EncodedBlockPointersStableAcrossMaxTokensAppends)
         backing.push_back(e.packedData());
 
     for (size_t t = 1; t < cfg.max_tokens; ++t)
-        attn.decodeStep(nextRow(), kv, scratch, ctx);
+        step();
 
     EXPECT_EQ(kv.tokens, cfg.max_tokens);
     size_t i = 0;

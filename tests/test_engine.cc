@@ -161,25 +161,6 @@ TEST(ExecutionEngine, FreshEnginesReplayIdenticalCallSequences)
             << "call " << call;
 }
 
-TEST(ExecutionEngine, PhotonicBackendDeterministicAcrossThreads)
-{
-    core::DptcConfig dcfg;
-    dcfg.input_bits = 8;
-    Rng rng(3);
-    Matrix a = randomMatrix(25, 25, rng);
-    Matrix b = randomMatrix(25, 25, rng);
-
-    std::vector<Matrix> results;
-    for (size_t threads : {1u, 2u, 8u}) {
-        ThreadPool::setGlobalThreads(threads);
-        nn::PhotonicBackend backend(dcfg, core::EvalMode::Noisy);
-        results.push_back(backend.gemm(a, b));
-    }
-    EXPECT_EQ(results[0].maxAbsDiff(results[1]), 0.0);
-    EXPECT_EQ(results[0].maxAbsDiff(results[2]), 0.0);
-    ThreadPool::setGlobalThreads(0);
-}
-
 TEST(ExecutionEngine, RepeatedCallsDrawFreshNoise)
 {
     // Each call consumes a new stream id: noise must NOT be a frozen

@@ -11,6 +11,7 @@
 #include "arch/performance_model.hh"
 #include "baselines/mrr_accelerator.hh"
 #include "baselines/mzi_accelerator.hh"
+#include "nn/execution_engine.hh"
 #include "nn/model_zoo.hh"
 #include "nn/transformer.hh"
 #include "train/trainer.hh"
@@ -71,7 +72,7 @@ class PhotonicAccuracyTest : public ::testing::Test
         dcfg.nlambda = nlambda;
         dcfg.input_bits = 8;
         dcfg.noise = noise;
-        nn::PhotonicBackend backend(dcfg, core::EvalMode::Noisy);
+        nn::ExecutionEngine backend(dcfg, core::EvalMode::Noisy);
         nn::RunContext ctx{&backend, nn::QuantConfig::w8a8()};
         return Trainer::evaluateVision(*model_, test_set_->samples(),
                                        ctx);

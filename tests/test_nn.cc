@@ -10,6 +10,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "nn/execution_engine.hh"
 #include "nn/gemm_backend.hh"
 #include "nn/layers.hh"
 #include "nn/quant.hh"
@@ -209,7 +210,7 @@ TEST(Backends, PhotonicIdealModeMatchesReference)
 {
     core::DptcConfig cfg;
     cfg.noise = core::NoiseConfig::ideal();
-    PhotonicBackend backend(cfg, core::EvalMode::Ideal);
+    ExecutionEngine backend(cfg, core::EvalMode::Ideal);
     Rng rng(8);
     Matrix a = randomMatrix(20, 30, rng);
     Matrix b = randomMatrix(30, 10, rng);
@@ -220,7 +221,7 @@ TEST(Backends, PhotonicNoisyModeTracksReference)
 {
     core::DptcConfig cfg;
     cfg.input_bits = 8;
-    PhotonicBackend backend(cfg, core::EvalMode::Noisy);
+    ExecutionEngine backend(cfg, core::EvalMode::Noisy);
     Rng rng(9);
     Matrix a = randomMatrix(13, 24, rng);
     Matrix b = randomMatrix(24, 13, rng);

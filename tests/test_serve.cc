@@ -310,11 +310,13 @@ TEST(Serve, StaggeredArrivalsJoinTheRunningBatchBitIdentically)
 TEST(Serve, FusedDecodeStepDispatchesOLayersBatches)
 {
     // The engine must see the same number of fused dispatches per
-    // decode step whether 2 or 12 requests ride in it: per layer one
-    // stacked-row dispatch per projection (wq, wk, wv, wo, fc1, fc2)
-    // plus the LM head = 6 * depth + 1 stacked calls, and one fused
-    // gemmBatch each for QK^T and AV = 2 * depth batch calls — the
-    // block-diagonal fusion's 8*depth+1 -> 2*depth+(6*depth+1) split.
+    // decode step whether 1, 2 or 12 requests ride in it — and a solo
+    // InferenceSession::decodeStep is that step over a batch of one:
+    // per layer one stacked-row dispatch per projection (wq, wk, wv,
+    // wo, fc1, fc2) plus the LM head = 6 * depth + 1 stacked calls,
+    // and one fused gemmBatch each for QK^T and AV = 2 * depth batch
+    // calls — the block-diagonal fusion's 8*depth+1 ->
+    // 2*depth+(6*depth+1) split.
     nn::TransformerClassifier model(lmConfig());
     nn::ExecutionEngine engine(noisyDptc(), core::EvalMode::Noisy);
     const size_t expected_stacked = 6 * model.config().depth + 1;
@@ -345,6 +347,16 @@ TEST(Serve, FusedDecodeStepDispatchesOLayersBatches)
                            (6 + 2 * model.config().heads) +
                        1));
     }
+
+    nn::InferenceSession solo(model, engine, nn::QuantConfig::w8a8(),
+                              /*request_id=*/0);
+    solo.prefill(promptFor(0, 4, model.config().vocab_size));
+    engine.resetStats();
+    solo.decodeStep(5);
+    EXPECT_EQ(engine.stats().stacked_calls.load(), expected_stacked)
+        << "solo decodeStep";
+    EXPECT_EQ(engine.stats().batch_calls.load(), expected_batches)
+        << "solo decodeStep";
 }
 
 // ---- the property the fusion rests on ---------------------------------
