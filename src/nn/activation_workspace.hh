@@ -89,130 +89,92 @@ struct TransformerBlockCache
 };
 
 /**
- * Growing K/V operands of one attention layer for incremental decode.
- * Values live in the same (quantized) domain the attention forward
- * caches: what the accelerator would hold in its KV SRAM/HBM.
+ * K/V operands of one attention layer over a token range — the one
+ * store every K/V producer fills and every decode step reads, in the
+ * quantized domain the attention forward caches (what the accelerator
+ * would hold in its KV SRAM/HBM). A segment is either
  *
- * Both dense mirrors are row-major [tokens, dk] per head, so a decode
- * step appends one token as one amortized-O(dk) row write to each —
- * the QK^T dispatch reads K through a *transposed view*
- * (ConstMatrixView), so no pre-transposed copy is re-strided per
- * step.
+ *  - a **shared prefix** (nn::KvPrefix / serve::KvBlockPool), computed
+ *    once by a full forward over exactly its tokens on a
+ *    content-addressed noise lane: a pure function of (model weights,
+ *    backend config, tokens), so every request that maps it — and
+ *    every recompute after eviction — reads bit-identical K/V.
+ *    Requests hold it as shared_ptr<const>, never mutating it (the
+ *    copy-on-write rule); or
+ *  - a request's **private tail** (AttentionKvCache::tail), which
+ *    grows by one token per decode step.
  *
- * When the serving backend executes encoded operands
- * (GemmBackend::supportsKvPlans()), the cache additionally holds the
- * *encoded* forms the DPTC kernel actually consumes: per-head packed
- * K^T ([dk, tokens], growing by one packed column per token) and
- * packed V ([tokens, dk], growing by one packed row). The attention
- * decode path (decodeStepBatch) keeps them in sync with the dense
- * mirrors and dispatches on them directly — zero per-step K/V
- * re-encodes in steady state; the dense mirrors remain the
- * requantization source when a new token's magnitude outgrows the
- * cached beta, and the operands of record for backends without
- * encoded execution.
- */
-/**
- * Immutable, shareable K/V of one attention layer over a fixed token
- * range — the per-layer payload of a shared prompt prefix (see
- * nn::KvPrefix / serve::KvBlockPool). A segment is computed once by a
- * full forward over exactly its tokens on a content-addressed noise
- * lane, so its values are a pure function of (model weights, backend
- * config, tokens): every request mapping the same prefix — and every
- * recompute after eviction — reads bit-identical K/V. Requests attach
- * a segment to their AttentionKvCache via shared_ptr (the
- * copy-on-write rule: segments are never mutated; a request's own
- * tokens append to the cache's private tail mirrors instead).
+ * Both dense mirrors are row-major [tokens, dk] per head: an append is
+ * one amortized-O(dk) row write to each, and QK^T reads K through a
+ * transposed view (ConstMatrixView) instead of a re-strided copy.
+ * When the backend executes encoded operands
+ * (GemmBackend::supportsKvPlans()), MultiHeadSelfAttention::seedKvCache
+ * also builds the packed forms the DPTC kernel consumes — per-head K^T
+ * and V — and decode keeps a tail's packed mirrors in step with its
+ * dense rows by O(dk) appends: zero per-step K/V re-encodes in steady
+ * state. The dense mirrors remain the requantization source when a
+ * token outgrows the cached beta, and the operands of record for
+ * backends without encoded execution.
  */
 struct KvLayerSegment
 {
-    size_t tokens = 0;      ///< prefix length this segment covers
+    size_t tokens = 0;      ///< token count this segment covers
 
     std::vector<Matrix> k;  ///< per head [tokens, dk], quantized domain
     std::vector<Matrix> v;  ///< per head [tokens, dk]
 
-    /**
-     * Encoded mirrors (packed K^T / V per head), built once at segment
-     * construction when the backend executes encoded operands; empty
-     * otherwise. Read-only thereafter — shared dispatch never
-     * re-encodes a prefix.
-     */
+    /** Encoded mirrors (empty without encoded K/V execution). */
     std::vector<core::EncodedOperand> ek_t;  ///< per head [dk, tokens]
     std::vector<core::EncodedOperand> ev;    ///< per head [tokens, dk]
 
-    /** GemmBackend::uid() the encoded mirrors target (0 = none). */
+    /**
+     * GemmBackend::uid() the encoded mirrors target (0 = none). Decode
+     * dispatches on them only for that backend: a tail handed to a
+     * different backend rebuilds its mirrors on the next step, and a
+     * foreign-geometry prefix is read through its dense mirrors.
+     */
     uint64_t encoded_backend_uid = 0;
 };
 
+/**
+ * Decode K/V state of one attention layer for one request: the
+ * context is the optional shared prefix `segment` followed by the
+ * private `tail`. Attention decode appends each new token to the tail
+ * and runs QK^T / AV over both parts, with one softmax spanning the
+ * whole context — as a contiguous cache would. Without a segment (the
+ * default non-paged path) the tail is the whole context.
+ */
 struct AttentionKvCache
 {
-    std::vector<Matrix> k;  ///< per head [tokens, dk]
-    std::vector<Matrix> v;  ///< per head [tokens, dk]
-    size_t tokens = 0;      ///< cached context length (private tail)
-
-    /**
-     * Optional shared prefix preceding the private tail: attention
-     * decode reads the first sharedTokens() positions of the context
-     * from this immutable segment (QK^T and AV each split into a
-     * segment product plus a tail product; one softmax spans both) and
-     * appends new tokens to the private mirrors above. Null for the
-     * default non-paged path, which this struct then serves exactly as
-     * before — segment-aware dispatch is opt-in per request.
-     */
+    /** Shared prefix preceding the tail (null = none). */
     std::shared_ptr<const KvLayerSegment> segment;
 
-    /** Tokens contributed by the shared prefix segment (0 = none). */
-    size_t
-    sharedTokens() const
-    {
-        return segment ? segment->tokens : 0;
-    }
+    /** The request's own tokens: prompt (or suffix) + decoded. */
+    KvLayerSegment tail;
 
-    /** Full attention context length: shared prefix + private tail. */
-    size_t
-    contextTokens() const
-    {
-        return sharedTokens() + tokens;
-    }
-
-    /** Context length reserve() provisioned for (0 = unreserved). */
+    /** Tail length reserve() provisioned for (0 = unreserved). */
     size_t reserved_tokens = 0;
 
     /**
-     * Encoded mirrors, maintained by the attention decode path when
-     * the backend supports them (empty otherwise): packed K^T / V of
-     * every head, in the backend's core geometry.
-     */
-    std::vector<core::EncodedOperand> ek_t;  ///< per head [dk, tokens]
-    std::vector<core::EncodedOperand> ev;    ///< per head [tokens, dk]
-
-    /**
-     * GemmBackend::uid() the encoded mirrors were built for (0 =
-     * inactive). A cache handed to a different backend rebuilds its
-     * mirrors on the next decode step instead of dispatching
-     * encodings packed for foreign core geometry.
-     */
-    uint64_t encoded_backend_uid = 0;
-
-    /**
-     * Reserve backing capacity for a context of `max_tokens` so every
-     * decode step appends allocation-free: the dense K/V mirrors grow
-     * rows in amortized O(1) inside reserved vectors, and the encoded
-     * mirrors pre-size their packed-block storage (k-tile stride
-     * included), so the block backing pointers stay stable across the
-     * whole decode. InferenceSession calls this once per layer at
-     * prefill (the caches must already hold the seeded heads).
+     * Reserve tail capacity for `max_tokens` so every decode step
+     * appends allocation-free: the dense mirrors grow rows in
+     * amortized O(1) inside reserved vectors, and the encoded mirrors
+     * pre-size their packed-block storage (k-tile stride included), so
+     * the block backing pointers stay stable across the whole decode.
+     * InferenceSession calls this once per layer when the tail holds
+     * its first token (an append into an empty Matrix replaces it).
      */
     void
     reserve(size_t max_tokens)
     {
         reserved_tokens = std::max(reserved_tokens, max_tokens);
-        for (Matrix &k_h : k)
+        for (Matrix &k_h : tail.k)
             k_h.reserve(max_tokens * k_h.cols());
-        for (Matrix &v_h : v)
+        for (Matrix &v_h : tail.v)
             v_h.reserve(max_tokens * v_h.cols());
-        for (core::EncodedOperand &e : ek_t)
+        for (core::EncodedOperand &e : tail.ek_t)
             e.reserve(e.rows(), max_tokens);
-        for (core::EncodedOperand &e : ev)
+        for (core::EncodedOperand &e : tail.ev)
             e.reserve(max_tokens, e.cols());
     }
 };

@@ -22,6 +22,32 @@ constexpr uint64_t kSessionLaneSalt = 0x5e55'10f7ULL;
  */
 constexpr uint64_t kPrefixLaneSalt = 0x9e0f'11f5ULL;
 
+/**
+ * Context length a plan reserves K/V backing for: the request's own
+ * budget (the serve layer's block accounting depends on it), capped at
+ * the positional table; 0 = the whole table. Capacity only, never
+ * values.
+ */
+size_t
+reservedContext(const SessionKvPlan &plan, const TransformerConfig &cfg)
+{
+    return plan.reserve_tokens == 0
+               ? cfg.max_tokens
+               : std::min(plan.reserve_tokens, cfg.max_tokens);
+}
+
+/** Running final-LN row sum, in row order — matches the
+ *  full-sequence mean pooling summation exactly. */
+Matrix
+pooledRowSum(const Matrix &pooled_in)
+{
+    Matrix sum(1, pooled_in.cols(), 0.0);
+    for (size_t r = 0; r < pooled_in.rows(); ++r)
+        for (size_t c = 0; c < pooled_in.cols(); ++c)
+            sum(0, c) += pooled_in(r, c);
+    return sum;
+}
+
 } // namespace
 
 uint64_t
@@ -83,71 +109,38 @@ InferenceSession::prefill(const std::vector<int> &tokens,
             std::to_string(len_) + " tokens");
     if (tokens.empty())
         throw std::invalid_argument("prefill with an empty prompt");
+    // A shared prefix maps its segments copy-on-write and runs only
+    // the suffix tokens: exactly one whole-prompt chunk.
+    if (plan.prefix)
+        return prefillChunk(tokens, 0, tokens.size(), plan);
+
+    // One causal full-sequence forward over the prompt (validates the
+    // token count and ids), then lift the per-head quantized K/V the
+    // attention layers already materialized into the decode cache.
     const TransformerConfig &cfg = model_->config();
-    // A plan may right-size the K/V reservation to the request's own
-    // context budget instead of the positional-table worst case (the
-    // serve layer's block accounting depends on this); capacity only,
-    // never values.
-    const size_t reserve_tokens =
-        plan.reserve_tokens == 0
-            ? cfg.max_tokens
-            : std::min(plan.reserve_tokens, cfg.max_tokens);
-
-    if (!plan.prefix) {
-        // One causal full-sequence forward over the prompt (validates
-        // the token count and ids), then lift the per-head quantized
-        // K/V the attention layers already materialized into the
-        // decode cache.
-        Matrix logits = model_->forwardSequence(tokens, ws_, ctx_);
-        for (size_t l = 0; l < kv_.size(); ++l) {
-            // Seed dense + (on encoded-operand backends) encoded K/V
-            // mirrors: the per-head encodes are paid once here, so
-            // every decode step appends instead of re-encoding.
-            model_->block(l).attention().seedKvCache(
-                ws_.blocks[l].attn, kv_[l], *ctx_.backend);
-            // Reserve the context footprint once — dense rows and
-            // packed encoded blocks both — so every decode step
-            // appends without reallocating (or re-striding) the cache
-            // storage.
-            kv_[l].reserve(reserve_tokens);
-        }
-
-        if (cfg.pooling == Pooling::Mean) {
-            // Running sum of final-LN rows, in row order — matches
-            // the full-sequence mean pooling summation exactly.
-            pooled_sum_ = Matrix(1, cfg.dim, 0.0);
-            for (size_t r = 0; r < ws_.pooled_in.rows(); ++r)
-                for (size_t c = 0; c < ws_.pooled_in.cols(); ++c)
-                    pooled_sum_(0, c) += ws_.pooled_in(r, c);
-        }
-
-        tokens_ = tokens;
-        len_ = tokens.size();
-        return logits;
+    Matrix logits = model_->forwardSequence(tokens, ws_, ctx_);
+    const size_t reserve_tokens = reservedContext(plan, cfg);
+    for (size_t l = 0; l < kv_.size(); ++l) {
+        // Seed dense + (on encoded-operand backends) encoded K/V
+        // mirrors: the per-head encodes are paid once here, so every
+        // decode step appends instead of re-encoding. Then reserve the
+        // context footprint once, so no decode step reallocates (or
+        // re-strides) the cache storage.
+        model_->block(l).attention().seedKvCache(
+            ws_.blocks[l].attn, kv_[l].tail, *ctx_.backend);
+        kv_[l].reserve(reserve_tokens);
     }
+    if (cfg.pooling == Pooling::Mean)
+        pooled_sum_ = pooledRowSum(ws_.pooled_in);
 
-    // Shared-prefix prefill: map the precomputed segments
-    // copy-on-write, then run ONLY the suffix tokens — through the
-    // incremental decode path, on this request's own noise lane.
-    const size_t p = plan.prefix->length();
-    const size_t tail_reserve = mapPrefix(tokens, plan, reserve_tokens);
-
-    // First suffix token creates the tail mirrors; reserve their
-    // dense backing right after (an append into an empty Matrix
-    // replaces it, so reserving earlier would be lost), then ingest
-    // the rest of the suffix.
-    Matrix logits = decodeStep(tokens[p]);
-    for (AttentionKvCache &kv : kv_)
-        kv.reserve(tail_reserve);
-    for (size_t i = p + 1; i < tokens.size(); ++i)
-        logits = decodeStep(tokens[i]);
+    tokens_ = tokens;
+    len_ = tokens.size();
     return logits;
 }
 
 size_t
 InferenceSession::mapPrefix(const std::vector<int> &tokens,
-                            const SessionKvPlan &plan,
-                            size_t reserve_tokens)
+                            const SessionKvPlan &plan)
 {
     const TransformerConfig &cfg = model_->config();
     const KvPrefix &prefix = *plan.prefix;
@@ -159,22 +152,11 @@ InferenceSession::mapPrefix(const std::vector<int> &tokens,
             " layers / " + std::to_string(p) +
             " tokens does not fit a depth-" +
             std::to_string(kv_.size()) + " model");
-    if (p >= tokens.size())
-        throw std::invalid_argument(
-            "prefill: shared prefix of " + std::to_string(p) +
-            " tokens must be a proper prefix of the " +
-            std::to_string(tokens.size()) +
-            "-token prompt (at least one suffix token)");
     if (!std::equal(prefix.tokens.begin(), prefix.tokens.end(),
                     tokens.begin()))
         throw std::invalid_argument(
             "prefill: prompt does not start with the shared prefix's "
             "tokens");
-    if (tokens.size() > cfg.max_tokens)
-        throw std::invalid_argument(
-            "prefill: prompt of " + std::to_string(tokens.size()) +
-            " tokens exceeds max_tokens = " +
-            std::to_string(cfg.max_tokens));
     if (cfg.pooling == Pooling::Mean &&
         (prefix.pooled_sum.rows() != 1 ||
          prefix.pooled_sum.cols() != cfg.dim))
@@ -182,23 +164,17 @@ InferenceSession::mapPrefix(const std::vector<int> &tokens,
             "prefill: KvPrefix lacks the pooled state Mean pooling "
             "needs");
 
+    // The request's private tail only ever holds its own tokens; the
+    // packed mirrors pick this reservation up on their first
+    // (seeding) encode.
+    const size_t reserve_tokens = reservedContext(plan, cfg);
     const size_t tail_reserve =
         reserve_tokens > p ? reserve_tokens - p : 0;
-    for (size_t l = 0; l < kv_.size(); ++l) {
-        AttentionKvCache &kv = kv_[l];
-        kv.segment = std::shared_ptr<const KvLayerSegment>(
-            plan.prefix, &prefix.layers[l]);
-        kv.k.clear();
-        kv.v.clear();
-        kv.ek_t.clear();
-        kv.ev.clear();
-        kv.encoded_backend_uid = 0;
-        kv.tokens = 0;
-        // The request's private mirrors only ever hold its tail; the
-        // packed mirrors pick this reservation up on their first
-        // (seeding) encode.
-        kv.reserved_tokens = tail_reserve;
-    }
+    for (size_t l = 0; l < kv_.size(); ++l)
+        kv_[l] = AttentionKvCache{
+            std::shared_ptr<const KvLayerSegment>(plan.prefix,
+                                                  &prefix.layers[l]),
+            KvLayerSegment{}, tail_reserve};
     if (cfg.pooling == Pooling::Mean)
         pooled_sum_ = prefix.pooled_sum;
     tokens_.assign(tokens.begin(),
@@ -256,13 +232,12 @@ InferenceSession::prefillChunk(const std::vector<int> &tokens,
             // prefill — bit-identical to a decode-path ingest (same
             // stream draw order, same K/V encode schedule) — carrying
             // the plan's right-sized reservation.
-            SessionKvPlan first;
-            first.reserve_tokens = plan.reserve_tokens;
-            logits = prefill({tokens[0]}, first);
+            logits = prefill({tokens[0]}, plan);
             i = 1;
         } else {
             // Mapped prefix positions are free; the first chunk must
-            // run at least one real suffix token past them.
+            // run at least one real suffix token past them, through
+            // the incremental decode path on this request's own lane.
             const size_t p = plan.prefix->length();
             if (end <= p)
                 throw std::invalid_argument(
@@ -270,12 +245,10 @@ InferenceSession::prefillChunk(const std::vector<int> &tokens,
                     std::to_string(end) +
                     " inside the shared prefix of " +
                     std::to_string(p) + " tokens");
-            const size_t reserve_tokens =
-                plan.reserve_tokens == 0
-                    ? cfg.max_tokens
-                    : std::min(plan.reserve_tokens, cfg.max_tokens);
-            const size_t tail_reserve =
-                mapPrefix(tokens, plan, reserve_tokens);
+            const size_t tail_reserve = mapPrefix(tokens, plan);
+            // The first suffix token creates the tail mirrors; reserve
+            // their backing right after (an append into an empty
+            // Matrix replaces it, so reserving earlier would be lost).
             logits = decodeStep(tokens[p]);
             for (AttentionKvCache &kv : kv_)
                 kv.reserve(tail_reserve);
@@ -316,38 +289,16 @@ InferenceSession::buildKvPrefix(const TransformerClassifier &model,
     auto prefix = std::make_shared<KvPrefix>();
     prefix->tokens = tokens;
     prefix->layers.resize(model.depth());
-    for (size_t l = 0; l < model.depth(); ++l) {
-        KvLayerSegment &seg = prefix->layers[l];
-        const AttentionCache &attn = ws.blocks[l].attn;
-        seg.tokens = tokens.size();
-        seg.k = attn.k;
-        seg.v = attn.v;
-        if (backend.supportsKvPlans()) {
-            // Encode once, at construction: every request that maps
-            // this prefix dispatches on these packed operands without
-            // ever re-encoding them (the N-users-one-encode property
-            // the pool's hit counter measures).
-            const size_t heads = seg.k.size();
-            seg.ek_t.resize(heads);
-            seg.ev.resize(heads);
-            for (size_t h = 0; h < heads; ++h) {
-                backend.encodeKvInto(seg.ek_t[h],
-                                     seg.k[h].transposedView(),
-                                     core::OperandSide::B);
-                backend.encodeKvInto(seg.ev[h], seg.v[h].view(),
-                                     core::OperandSide::B);
-            }
-            seg.encoded_backend_uid = backend.uid();
-        }
-    }
-    if (cfg.pooling == Pooling::Mean) {
-        // Running final-LN row sum over the prefix, in row order —
-        // the pooled state a session resumes Mean pooling from.
-        prefix->pooled_sum = Matrix(1, cfg.dim, 0.0);
-        for (size_t r = 0; r < ws.pooled_in.rows(); ++r)
-            for (size_t c = 0; c < ws.pooled_in.cols(); ++c)
-                prefix->pooled_sum(0, c) += ws.pooled_in(r, c);
-    }
+    // Encoded once, here: every request that maps this prefix
+    // dispatches on its packed operands without ever re-encoding them
+    // (the N-users-one-encode property the pool's hit counter
+    // measures).
+    for (size_t l = 0; l < model.depth(); ++l)
+        model.block(l).attention().seedKvCache(
+            ws.blocks[l].attn, prefix->layers[l], backend);
+    // The pooled state a session resumes Mean pooling from.
+    if (cfg.pooling == Pooling::Mean)
+        prefix->pooled_sum = pooledRowSum(ws.pooled_in);
     return prefix;
 }
 

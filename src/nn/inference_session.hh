@@ -128,9 +128,10 @@ class InferenceSession
     Matrix prefill(const std::vector<int> &tokens);
 
     /**
-     * Prefill under an explicit K/V plan. With a shared prefix, the
-     * prefix's tokens must equal the prompt's head (and leave at least
-     * one suffix token): the session maps the prefix segments
+     * Prefill under an explicit K/V plan. With a shared prefix this is
+     * prefillChunk(tokens, 0, tokens.size(), plan): the prefix's
+     * tokens must equal the prompt's head (and leave at least one
+     * suffix token); the session maps the prefix segments
      * copy-on-write — no forward runs over those positions — seeds the
      * pooled state from the prefix, reserves backing only for the
      * request's own tail, and ingests the suffix tokens through the
@@ -180,7 +181,8 @@ class InferenceSession
      * Compute the shareable K/V of `tokens` as a prompt prefix: one
      * full-sequence forward on the content-addressed noise lane, its
      * per-layer quantized K/V (and, on encoded-operand backends, the
-     * packed encodings) harvested into an immutable KvPrefix. Pure
+     * packed encodings) seeded into an immutable KvPrefix by
+     * MultiHeadSelfAttention::seedKvCache, as a session's tail is. Pure
      * function of (model, backend config, quant, tokens) — see the
      * KvPrefix contract. Throws std::invalid_argument for models an
      * InferenceSession would reject, empty/too-long prefixes, or
@@ -217,12 +219,12 @@ class InferenceSession
 
     /**
      * Validate + map a shared prefix onto an empty session (segment
-     * aliasing, pooled state, token bookkeeping) — the common head of
-     * prefill's prefix branch and of a prefix-plan first chunk.
-     * Returns the tail reservation (tokens beyond the prefix).
+     * aliasing, an empty tail, pooled state, token bookkeeping) — the
+     * head of a prefix-plan first chunk. Returns the tail reservation
+     * (the plan's context budget beyond the prefix).
      */
     size_t mapPrefix(const std::vector<int> &tokens,
-                     const SessionKvPlan &plan, size_t reserve_tokens);
+                     const SessionKvPlan &plan);
 
     const TransformerClassifier *model_;
     uint64_t request_id_ = 0; ///< trace payload; lane lives in ctx_

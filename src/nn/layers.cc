@@ -496,23 +496,23 @@ MultiHeadSelfAttention::backward(const Matrix &dy,
 }
 
 bool
-MultiHeadSelfAttention::prepareKvEncoded(AttentionKvCache &kv,
+MultiHeadSelfAttention::prepareKvEncoded(KvLayerSegment &seg,
                                          GemmBackend &backend) const
 {
     if (!backend.supportsKvPlans()) {
-        kv.ek_t.clear();
-        kv.ev.clear();
-        kv.encoded_backend_uid = 0;
+        seg.ek_t.clear();
+        seg.ev.clear();
+        seg.encoded_backend_uid = 0;
         return false;
     }
-    if (kv.encoded_backend_uid != backend.uid() ||
-        kv.ek_t.size() != heads_ || kv.ev.size() != heads_) {
+    if (seg.encoded_backend_uid != backend.uid() ||
+        seg.ek_t.size() != heads_ || seg.ev.size() != heads_) {
         // Re-home: encodings packed for another backend's core
         // geometry are dropped; syncKvEncodedHead rebuilds them from
         // the dense mirrors on the next append.
-        kv.ek_t.assign(heads_, core::EncodedOperand());
-        kv.ev.assign(heads_, core::EncodedOperand());
-        kv.encoded_backend_uid = backend.uid();
+        seg.ek_t.assign(heads_, core::EncodedOperand());
+        seg.ev.assign(heads_, core::EncodedOperand());
+        seg.encoded_backend_uid = backend.uid();
     }
     return true;
 }
@@ -529,8 +529,8 @@ MultiHeadSelfAttention::syncKvEncodedHead(AttentionKvCache &kv,
     // beta no longer covers the row (a fresh encode would pick a new
     // beta); encodeKvInto then requantizes in place from the dense
     // mirror, preserving the reserved packed capacity.
-    core::EncodedOperand &ekt = kv.ek_t[h];
-    const Matrix &k_h = kv.k[h];
+    core::EncodedOperand &ekt = kv.tail.ek_t[h];
+    const Matrix &k_h = kv.tail.k[h];
     const bool k_in_sync =
         ekt.rows() == dk_ && ekt.cols() + 1 == k_h.rows();
     if (!(k_in_sync && ekt.appendColumn(k_row.data().data(), dk_))) {
@@ -541,8 +541,8 @@ MultiHeadSelfAttention::syncKvEncodedHead(AttentionKvCache &kv,
     }
 
     // V mirror: the new token is one packed row.
-    core::EncodedOperand &ev_h = kv.ev[h];
-    const Matrix &v_h = kv.v[h];
+    core::EncodedOperand &ev_h = kv.tail.ev[h];
+    const Matrix &v_h = kv.tail.v[h];
     const bool v_in_sync =
         ev_h.cols() == dk_ && ev_h.rows() + 1 == v_h.rows();
     if (!(v_in_sync && ev_h.appendRow(v_row.data().data(), dk_))) {
@@ -551,6 +551,46 @@ MultiHeadSelfAttention::syncKvEncodedHead(AttentionKvCache &kv,
             ev_h.reserve(kv.reserved_tokens, dk_);
     }
 }
+
+namespace {
+
+/**
+ * One dynamic attention product against a K/V part: the left row
+ * block times the part's right operand, as a dense view and — when the
+ * part's mirrors are encoded for the dispatching backend — its packed
+ * form.
+ */
+struct KvProduct
+{
+    ConstMatrixView a;
+    ConstMatrixView b;                  ///< dense right operand
+    const core::EncodedOperand *b_plan; ///< its packed mirror, or null
+};
+
+/**
+ * Run a K/V product list as one stream-addressed gemmBatch. One batch
+ * takes one operand form: the packed mirrors when every product has
+ * one, else dense views (bit-identical either way; one
+ * foreign-geometry prefix demotes the whole batch).
+ */
+std::vector<Matrix>
+runKvProducts(GemmBackend &backend, const std::vector<KvProduct> &ps,
+              const std::vector<uint64_t> &streams)
+{
+    std::vector<std::pair<ConstMatrixView, const core::EncodedOperand *>>
+        packed;
+    std::vector<std::pair<ConstMatrixView, ConstMatrixView>> dense;
+    bool all_packed = true;
+    for (const KvProduct &p : ps) {
+        packed.emplace_back(p.a, p.b_plan);
+        dense.emplace_back(p.a, p.b);
+        all_packed = all_packed && p.b_plan != nullptr;
+    }
+    return all_packed ? backend.gemmBatch(packed, streams)
+                      : backend.gemmBatch(dense, streams);
+}
+
+} // namespace
 
 std::vector<Matrix>
 MultiHeadSelfAttention::decodeStepBatch(
@@ -575,6 +615,23 @@ MultiHeadSelfAttention::decodeStepBatch(
                 "request");
     GemmBackend *backend = ctxs.front()->backend;
 
+    // A request's context is its K/V parts in position order: the
+    // mapped shared segment, if any, then its private tail.
+    std::vector<std::vector<const KvLayerSegment *>> parts(n);
+    for (size_t i = 0; i < n; ++i) {
+        if (const KvLayerSegment *seg = kvs[i]->segment.get()) {
+            if (seg->k.size() != heads_)
+                throw std::invalid_argument(
+                    "decodeStepBatch: request " + std::to_string(i) +
+                    "'s shared K/V segment holds " +
+                    std::to_string(seg->k.size()) +
+                    " heads for an attention of " +
+                    std::to_string(heads_));
+            parts[i].push_back(seg);
+        }
+        parts[i].push_back(&kvs[i]->tail);
+    }
+
     // Q/K/V projections, each fused across the N requests (request i
     // draws its wq, then wk, then wv stream, whatever else rides in
     // the batch).
@@ -582,7 +639,7 @@ MultiHeadSelfAttention::decodeStepBatch(
     std::vector<Matrix> k = wk_.forwardBatch(xs, ctxs);
     std::vector<Matrix> v = wv_.forwardBatch(xs, ctxs);
 
-    // Per request: append this token's per-head K/V to ITS cache — an
+    // Per request: append this token's per-head K/V to ITS tail — an
     // amortized O(dk) row write to each dense mirror, plus (on
     // encoded-operand backends) an O(dk) packed append to the encoded
     // mirrors — and build the per-head query rows, all in the
@@ -590,13 +647,13 @@ MultiHeadSelfAttention::decodeStepBatch(
     const bool encoded = backend->supportsKvPlans();
     std::vector<std::vector<Matrix>> qh(n);
     for (size_t i = 0; i < n; ++i) {
-        AttentionKvCache &kv = *kvs[i];
-        if (kv.k.size() != heads_) {
-            kv.k.assign(heads_, Matrix());
-            kv.v.assign(heads_, Matrix());
-            kv.tokens = 0;
+        KvLayerSegment &tail = kvs[i]->tail;
+        if (tail.k.size() != heads_) {
+            tail.k.assign(heads_, Matrix());
+            tail.v.assign(heads_, Matrix());
+            tail.tokens = 0;
         }
-        prepareKvEncoded(kv, *backend);
+        prepareKvEncoded(tail, *backend);
         qh[i].resize(heads_);
         for (size_t h = 0; h < heads_; ++h) {
             Matrix q_row = sliceCols(q[i], h * dk_, dk_);
@@ -608,106 +665,54 @@ MultiHeadSelfAttention::decodeStepBatch(
                 k_row = fakeQuant(k_row, bits);
                 v_row = fakeQuant(v_row, bits);
             }
-            appendRow(kv.k[h], k_row);
-            appendRow(kv.v[h], v_row);
+            appendRow(tail.k[h], k_row);
+            appendRow(tail.v[h], v_row);
             if (encoded)
-                syncKvEncodedHead(kv, h, k_row, v_row, *backend);
+                syncKvEncodedHead(*kvs[i], h, k_row, v_row, *backend);
             qh[i][h] = std::move(q_row);
         }
-        kv.tokens += 1;
+        tail.tokens += 1;
     }
 
-    // All QK^T rows in one batch. Request i draws its head streams in
-    // head order — and, when it carries a shared prefix segment, its
-    // segment stream before its tail stream per head — exactly as in
-    // a batch of one; the (i, h) grouping of the dispatch is invisible
-    // to the stream-addressed backend. Encoded-K/V backends dispatch
-    // on the cached packed K^T; others read each K mirror through a
-    // transposed view. Requests with and without segments mix freely
-    // in one batch: op_base[i] indexes request i's products.
-    std::vector<const KvLayerSegment *> segs(n);
-    std::vector<size_t> op_base(n);
-    size_t total_ops = 0;
-    bool all_segs_encoded = true;
-    for (size_t i = 0; i < n; ++i) {
-        segs[i] = kvs[i]->segment.get();
-        if (segs[i] && segs[i]->k.size() != heads_)
-            throw std::invalid_argument(
-                "decodeStepBatch: request " + std::to_string(i) +
-                "'s shared K/V segment holds " +
-                std::to_string(segs[i]->k.size()) +
-                " heads for an attention of " +
-                std::to_string(heads_));
-        if (segs[i] &&
-            !(segs[i]->encoded_backend_uid == backend->uid() &&
-              segs[i]->ek_t.size() == heads_ &&
-              segs[i]->ev.size() == heads_))
-            all_segs_encoded = false;
-        op_base[i] = total_ops;
-        total_ops += heads_ * (segs[i] ? 2 : 1);
-    }
-    // One foreign-geometry segment demotes the whole batch to dense
-    // dispatch — values are bit-identical either way, and a mixed
-    // encoded/dense operand vector is not a batch the backend API
-    // expresses.
-    const bool dispatch_encoded = encoded && all_segs_encoded;
+    // A part dispatches packed only on mirrors built for this backend.
+    auto packed = [&](const KvLayerSegment &part) {
+        return encoded && part.encoded_backend_uid == backend->uid() &&
+               part.ek_t.size() == heads_ && part.ev.size() == heads_;
+    };
 
+    // QK^T: one product per (request, head, part) in one batch; the
+    // K operand is a transposed view of the part's K (or its packed
+    // K^T). Request i draws its streams in (head, part) order, exactly
+    // as in a batch of one — the grouping of the dispatch is invisible
+    // to the stream-addressed backend.
+    std::vector<KvProduct> qk;
     std::vector<uint64_t> qk_streams;
-    qk_streams.reserve(total_ops);
     for (size_t i = 0; i < n; ++i)
-        for (size_t h = 0; h < heads_ * (segs[i] ? 2 : 1); ++h)
-            qk_streams.push_back(ctxs[i]->stream.next());
-    std::vector<Matrix> scores;
-    if (dispatch_encoded) {
-        std::vector<
-            std::pair<ConstMatrixView, const core::EncodedOperand *>>
-            qk_ops;
-        qk_ops.reserve(total_ops);
-        for (size_t i = 0; i < n; ++i)
-            for (size_t h = 0; h < heads_; ++h) {
-                if (segs[i])
-                    qk_ops.emplace_back(qh[i][h].view(),
-                                        &segs[i]->ek_t[h]);
-                qk_ops.emplace_back(qh[i][h].view(),
-                                    &kvs[i]->ek_t[h]);
+        for (size_t h = 0; h < heads_; ++h)
+            for (const KvLayerSegment *part : parts[i]) {
+                qk.push_back({qh[i][h].view(),
+                              part->k[h].transposedView(),
+                              packed(*part) ? &part->ek_t[h] : nullptr});
+                qk_streams.push_back(ctxs[i]->stream.next());
             }
-        scores = backend->gemmBatch(qk_ops, qk_streams);
-    } else {
-        std::vector<std::pair<ConstMatrixView, ConstMatrixView>>
-            qk_ops;
-        qk_ops.reserve(total_ops);
-        for (size_t i = 0; i < n; ++i)
-            for (size_t h = 0; h < heads_; ++h) {
-                if (segs[i])
-                    qk_ops.emplace_back(
-                        qh[i][h].view(),
-                        segs[i]->k[h].transposedView());
-                qk_ops.emplace_back(qh[i][h].view(),
-                                    kvs[i]->k[h].transposedView());
-            }
-        scores = backend->gemmBatch(qk_ops, qk_streams);
-    }
+    std::vector<Matrix> scores = runKvProducts(*backend, qk, qk_streams);
 
+    // One score row per (request, head) over the whole context, parts
+    // side by side, so the softmax (and its quantization) spans shared
+    // and private positions together, as a contiguous cache would.
     double inv_sqrt_dk = 1.0 / std::sqrt(static_cast<double>(dk_));
     std::vector<Matrix> probs(n * heads_);
+    size_t op = 0;
     for (size_t i = 0; i < n; ++i) {
-        const size_t p_tokens = segs[i] ? segs[i]->tokens : 0;
+        size_t context = 0;
+        for (const KvLayerSegment *part : parts[i])
+            context += part->tokens;
         for (size_t h = 0; h < heads_; ++h) {
-            Matrix row;
-            if (segs[i]) {
-                // One score row over the whole context — segment
-                // columns, then tail columns — so the softmax (and its
-                // quantization) spans shared and private positions
-                // together, as a contiguous cache would.
-                row = Matrix(1, p_tokens + kvs[i]->tokens);
-                const Matrix &s_seg = scores[op_base[i] + h * 2];
-                const Matrix &s_tail = scores[op_base[i] + h * 2 + 1];
-                for (size_t c = 0; c < p_tokens; ++c)
-                    row(0, c) = s_seg(0, c);
-                for (size_t c = 0; c < kvs[i]->tokens; ++c)
-                    row(0, p_tokens + c) = s_tail(0, c);
-            } else {
-                row = std::move(scores[op_base[i] + h]);
+            Matrix row(1, context);
+            size_t c0 = 0;
+            for (const KvLayerSegment *part : parts[i]) {
+                pasteCols(row, scores[op++], c0);
+                c0 += part->tokens;
             }
             for (double &e : row.data())
                 e *= inv_sqrt_dk;
@@ -719,72 +724,36 @@ MultiHeadSelfAttention::decodeStepBatch(
         }
     }
 
-    // All AV rows in one batch, on the cached encoded V when
-    // available; segment and tail probability columns are
-    // leading-dimension views of each quantized row.
+    // AV: the same (request, head, part) product list; each part reads
+    // its own probability columns as a leading-dimension view of the
+    // quantized row.
+    std::vector<KvProduct> av;
     std::vector<uint64_t> av_streams;
-    av_streams.reserve(total_ops);
     for (size_t i = 0; i < n; ++i)
-        for (size_t h = 0; h < heads_ * (segs[i] ? 2 : 1); ++h)
-            av_streams.push_back(ctxs[i]->stream.next());
-    std::vector<Matrix> ctx_heads;
-    if (dispatch_encoded) {
-        std::vector<
-            std::pair<ConstMatrixView, const core::EncodedOperand *>>
-            av_ops;
-        av_ops.reserve(total_ops);
-        for (size_t i = 0; i < n; ++i) {
-            const size_t p_tokens = segs[i] ? segs[i]->tokens : 0;
-            for (size_t h = 0; h < heads_; ++h) {
-                const Matrix &p = probs[i * heads_ + h];
-                if (segs[i]) {
-                    av_ops.emplace_back(p.colsView(0, p_tokens),
-                                        &segs[i]->ev[h]);
-                    av_ops.emplace_back(
-                        p.colsView(p_tokens, kvs[i]->tokens),
-                        &kvs[i]->ev[h]);
-                } else {
-                    av_ops.emplace_back(p.view(), &kvs[i]->ev[h]);
-                }
+        for (size_t h = 0; h < heads_; ++h) {
+            const Matrix &p = probs[i * heads_ + h];
+            size_t c0 = 0;
+            for (const KvLayerSegment *part : parts[i]) {
+                av.push_back({p.colsView(c0, part->tokens),
+                              part->v[h].view(),
+                              packed(*part) ? &part->ev[h] : nullptr});
+                av_streams.push_back(ctxs[i]->stream.next());
+                c0 += part->tokens;
             }
         }
-        ctx_heads = backend->gemmBatch(av_ops, av_streams);
-    } else {
-        std::vector<std::pair<ConstMatrixView, ConstMatrixView>>
-            av_ops;
-        av_ops.reserve(total_ops);
-        for (size_t i = 0; i < n; ++i) {
-            const size_t p_tokens = segs[i] ? segs[i]->tokens : 0;
-            for (size_t h = 0; h < heads_; ++h) {
-                const Matrix &p = probs[i * heads_ + h];
-                if (segs[i]) {
-                    av_ops.emplace_back(p.colsView(0, p_tokens),
-                                        segs[i]->v[h].view());
-                    av_ops.emplace_back(
-                        p.colsView(p_tokens, kvs[i]->tokens),
-                        kvs[i]->v[h].view());
-                } else {
-                    av_ops.emplace_back(p.view(), kvs[i]->v[h].view());
-                }
-            }
-        }
-        ctx_heads = backend->gemmBatch(av_ops, av_streams);
-    }
+    std::vector<Matrix> ctx_heads =
+        runKvProducts(*backend, av, av_streams);
 
+    // A head's context row is the sum of its parts' products.
     std::vector<Matrix> contexts(n);
+    op = 0;
     for (size_t i = 0; i < n; ++i) {
         contexts[i] = Matrix(1, dim_, 0.0);
         for (size_t h = 0; h < heads_; ++h) {
-            if (segs[i]) {
-                Matrix head_ctx =
-                    std::move(ctx_heads[op_base[i] + h * 2]);
-                addInPlace(head_ctx,
-                           ctx_heads[op_base[i] + h * 2 + 1]);
-                pasteCols(contexts[i], head_ctx, h * dk_);
-            } else {
-                pasteCols(contexts[i], ctx_heads[op_base[i] + h],
-                          h * dk_);
-            }
+            Matrix head_ctx = std::move(ctx_heads[op++]);
+            for (size_t j = 1; j < parts[i].size(); ++j)
+                addInPlace(head_ctx, ctx_heads[op++]);
+            pasteCols(contexts[i], head_ctx, h * dk_);
         }
     }
     return wo_.forwardBatch(contexts, ctxs);
@@ -792,28 +761,29 @@ MultiHeadSelfAttention::decodeStepBatch(
 
 void
 MultiHeadSelfAttention::seedKvCache(const AttentionCache &cache,
-                                    AttentionKvCache &kv,
+                                    KvLayerSegment &seg,
                                     GemmBackend &backend) const
 {
     // Both mirrors keep the forward's row-major [tokens, dk] layout —
     // no transpose at all; the QK^T dispatch reads K through a
     // transposed view, and decode appends rows.
-    kv.k = cache.k;
-    kv.v = cache.v;
-    kv.tokens = cache.k.empty() ? 0 : cache.k.front().rows();
+    seg.k = cache.k;
+    seg.v = cache.v;
+    seg.tokens = cache.k.empty() ? 0 : cache.k.front().rows();
     // Forget the encoded mirrors' home so prepareKvEncoded replaces
     // them with empty operands (or, without encoded K/V support,
     // clears them): stale encodings never survive a reseed.
-    kv.encoded_backend_uid = 0;
-    if (!prepareKvEncoded(kv, backend))
+    seg.encoded_backend_uid = 0;
+    if (!prepareKvEncoded(seg, backend))
         return;
-    // Encode the prompt's K/V once, here, so every decode step is an
-    // append: the prefill cost the paper's encoded-operand case
-    // amortizes (counts 2 * heads kv_encode misses per layer).
+    // Encode the K/V once, here, so a tail's decode steps are appends
+    // and a shared prefix is never re-encoded by any request that maps
+    // it: the prefill cost the paper's encoded-operand case amortizes
+    // (2 * heads kv_encode misses per layer).
     for (size_t h = 0; h < heads_; ++h) {
-        backend.encodeKvInto(kv.ek_t[h], kv.k[h].transposedView(),
+        backend.encodeKvInto(seg.ek_t[h], seg.k[h].transposedView(),
                              core::OperandSide::B);
-        backend.encodeKvInto(kv.ev[h], kv.v[h].view(),
+        backend.encodeKvInto(seg.ev[h], seg.v[h].view(),
                              core::OperandSide::B);
     }
 }

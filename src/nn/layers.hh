@@ -268,16 +268,22 @@ class MultiHeadSelfAttention
 
     /**
      * Incremental decode — the one decode implementation. Runs one new
-     * token row [1, dim] per request, each against its own growing K/V
-     * cache and noise lane. Each row's K/V are appended to its cache
+     * token row [1, dim] per request, each against its own K/V cache
+     * and noise lane. Each row's K/V are appended to its cache's tail
      * (in the quantized domain the cache stores), and the per-head
      * QK^T / AV score and context rows run against the cache — the
      * skinny, memory-bound traffic of paper Section VI-B on the
-     * engine. The same-shape work of all N requests fuses: one
-     * dispatch per projection, one gemmBatch for all N*heads QK^T
-     * rows, one for all N*heads AV rows. Result i and the mutation of
-     * kvs[i] are bit-identical to a batch holding request i alone —
-     * the continuous-batching correctness contract. Requires causal
+     * engine.
+     *
+     * A request's context is its K/V parts in position order: the
+     * mapped shared segment, if any, then the tail. QK^T and AV each
+     * run as ONE gemmBatch over every (request, head, part) product,
+     * on the parts' packed mirrors when all of them are encoded for
+     * the backend and on dense views otherwise; one softmax row spans
+     * all of a request's parts. Request i draws its streams in (head,
+     * part) order, so result i and the mutation of kvs[i] are
+     * bit-identical to a batch holding request i alone — the
+     * continuous-batching correctness contract. Requires causal
      * attention (the cache only holds the past); all ctxs must share
      * one backend.
      */
@@ -287,14 +293,15 @@ class MultiHeadSelfAttention
                     const std::vector<RunContext *> &ctxs) const;
 
     /**
-     * Seed a decode K/V cache from a prefill forward's caches (the
-     * per-head quantized K/V the forward already materialized) and,
-     * when the backend executes encoded K/V operands, build the
-     * encoded mirrors up front (counts the per-head kv_encode misses
-     * here, at prefill, so steady-state decode performs zero K/V
-     * encodes). On other backends the encoded mirrors are dropped.
+     * Seed a K/V segment — a session's tail or a shared prefix — from
+     * a forward's caches (the per-head quantized K/V the forward
+     * already materialized) and, when the backend executes encoded
+     * K/V operands, build the encoded mirrors up front (2 * heads
+     * kv_encode misses, paid here so steady-state decode performs
+     * zero K/V encodes). On other backends the encoded mirrors are
+     * dropped.
      */
-    void seedKvCache(const AttentionCache &cache, AttentionKvCache &kv,
+    void seedKvCache(const AttentionCache &cache, KvLayerSegment &seg,
                      GemmBackend &backend) const;
 
     void zeroGrad();
@@ -306,18 +313,18 @@ class MultiHeadSelfAttention
 
   private:
     /**
-     * Activate (or deactivate) kv's encoded mirrors for `backend`:
+     * Activate (or deactivate) seg's encoded mirrors for `backend`:
      * sizes the per-head operand vectors and re-homes them when the
-     * cache last ran on a different backend. Returns whether encoded
+     * segment last ran on a different backend. Returns whether encoded
      * dispatch is in effect.
      */
-    bool prepareKvEncoded(AttentionKvCache &kv,
+    bool prepareKvEncoded(KvLayerSegment &seg,
                           GemmBackend &backend) const;
 
     /**
-     * Bring head h's encoded mirrors up to date after the dense
-     * appends of one token: the O(dk) packed append when the cached
-     * beta still covers the new row, a full (counted) rebuild —
+     * Bring head h of kv's tail encoded mirrors up to date after the
+     * dense appends of one token: the O(dk) packed append when the
+     * cached beta still covers the new row, a full (counted) rebuild —
      * requantization in place — when it does not or the mirror is
      * out of sync.
      */

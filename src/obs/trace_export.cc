@@ -191,6 +191,7 @@ PhaseBreakdown
 phaseBreakdown(const std::vector<TraceRecorder::LaneSnapshot> &lanes)
 {
     double admission_incl = 0.0;
+    double admission_prefill = 0.0;
     PhaseBreakdown pb;
     for (const auto &lane : lanes) {
         for (const auto &e : lane.events) {
@@ -201,6 +202,8 @@ phaseBreakdown(const std::vector<TraceRecorder::LaneSnapshot> &lanes)
             if (name == "tick/admission")
                 admission_incl += ms;
             else if (name == "req/prefill")
+                admission_prefill += ms;
+            else if (name == "tick/prefill_chunk")
                 pb.prefill_ms += ms;
             else if (name == "tick/decode")
                 pb.decode_ms += ms;
@@ -208,10 +211,13 @@ phaseBreakdown(const std::vector<TraceRecorder::LaneSnapshot> &lanes)
                 pb.pool_ms += ms;
         }
     }
-    // prefill and pool/admit spans nest inside tick/admission; strip
-    // them so the four phases are disjoint and sum to accounted time.
-    pb.admission_ms =
-        std::max(0.0, admission_incl - pb.prefill_ms - pb.pool_ms);
+    // Whole-prompt prefill and pool/admit spans nest inside
+    // tick/admission; strip them so the four phases are disjoint and
+    // sum to accounted time. Chunked prefill runs after admission, so
+    // its chunk spans count as prefill without being stripped.
+    pb.prefill_ms += admission_prefill;
+    pb.admission_ms = std::max(
+        0.0, admission_incl - admission_prefill - pb.pool_ms);
     return pb;
 }
 

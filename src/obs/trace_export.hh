@@ -46,11 +46,12 @@ void writeRequestTimelines(std::ostream &os,
 
 /** Disjoint per-phase span-time totals, in milliseconds.
  *  `admission_ms` excludes the nested prefill/pool spans so the four
- *  figures sum to total accounted tick time. */
+ *  figures sum to total accounted tick time; chunked-prefill spans
+ *  run outside admission and count as prefill only. */
 struct PhaseBreakdown
 {
     double admission_ms = 0.0; ///< tick/admission minus nested spans
-    double prefill_ms = 0.0;   ///< req/prefill
+    double prefill_ms = 0.0;   ///< req/prefill + tick/prefill_chunk
     double decode_ms = 0.0;    ///< tick/decode
     double pool_ms = 0.0;      ///< pool/admit
 

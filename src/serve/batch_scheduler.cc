@@ -130,12 +130,8 @@ BatchScheduler::admit(RequestQueue &queue, double &prefill_ms,
         // Per-request containment: anything thrown between admission
         // and the first token fails ONLY this request (its future
         // carries the exception, its pool blocks go back) — the
-        // scheduler and every other request keep running. Transient
-        // engine faults additionally get a bounded retry first.
-        Matrix logits;
-        const bool chunked = cfg_.prefill_chunk_tokens > 0;
+        // scheduler and every other request keep running.
         try {
-            nn::SessionKvPlan plan;
             if (pool_) {
                 // Reserve the worst-case tail (and acquire or compute
                 // the shared prefix) up front, then prefill under a
@@ -149,167 +145,124 @@ BatchScheduler::admit(RequestQueue &queue, double &prefill_ms,
                     a.pending.request.max_new_tokens);
                 pool_ms +=
                     msSince(p0, std::chrono::steady_clock::now());
-                plan.prefix = a.admission.prefix;
-                plan.reserve_tokens =
+                a.plan.prefix = a.admission.prefix;
+                a.plan.reserve_tokens =
                     a.pending.request.prompt.size() +
                     a.pending.request.max_new_tokens - 1;
             }
-            a.plan = plan;
-            if (chunked) {
-                // Chunked mode defers ALL prompt ingestion to
-                // prefillChunkTick: admission just builds the empty
-                // session so the request holds a batch slot.
-                a.session = std::make_unique<nn::InferenceSession>(
-                    model_, backend_, quant_, a.pending.id);
-                active_.push_back(std::move(a));
-                continue;
-            }
-            size_t attempt = 0;
-            while (true) {
-                // A fresh session every attempt: a prefill that died
-                // mid-layer left partially written K/V behind.
-                a.session = std::make_unique<nn::InferenceSession>(
-                    model_, backend_, quant_, a.pending.id);
-                try {
-                    obs::TraceScope span(
-                        "req/prefill", a.pending.id, "prompt_tokens",
-                        static_cast<int64_t>(
-                            a.pending.request.prompt.size()));
-                    auto f0 = std::chrono::steady_clock::now();
-                    logits =
-                        pool_ ? a.session->prefill(
-                                    a.pending.request.prompt, plan)
-                              : a.session->prefill(
-                                    a.pending.request.prompt);
-                    prefill_ms +=
-                        msSince(f0, std::chrono::steady_clock::now());
-                    break;
-                } catch (const nn::EngineFaultError &) {
-                    if (attempt >= cfg_.max_step_retries)
-                        throw;
-                    ++attempt;
-                    if (metrics_)
-                        metrics_->onStepRetry();
-                    obs::traceInstant(
-                        "fault/step_retry", a.pending.id, "attempt",
-                        static_cast<int64_t>(attempt));
-                    std::this_thread::sleep_for(
-                        cfg_.step_retry_backoff);
-                }
-            }
-            if (pool_) {
-                auto p0 = std::chrono::steady_clock::now();
-                pool_->noteContext(a.admission.table,
-                                   a.session->contextLen());
-                pool_ms +=
-                    msSince(p0, std::chrono::steady_clock::now());
-            }
+            a.session = std::make_unique<nn::InferenceSession>(
+                model_, backend_, quant_, a.pending.id);
         } catch (...) {
             failRequest(a, std::current_exception());
             continue;
         }
-        a.last_token = std::chrono::steady_clock::now();
-        a.ttft_ms = msSince(a.pending.enqueued, a.last_token);
-        int first = static_cast<int>(nn::argmaxRow(logits, 0));
-        a.generated.push_back(first);
-        if (a.pending.request.record_logits)
-            a.step_logits.push_back(std::move(logits));
-        if (metrics_)
-            metrics_->onPrefill(a.ttft_ms);
-
-        if (a.generated.size() >= a.pending.request.max_new_tokens) {
-            finish(a, /*expired=*/false);
-            continue;
-        }
-        active_.push_back(std::move(a));
+        // Whole-prompt mode ingests now; chunked mode defers ALL
+        // prompt ingestion to prefillChunkTick, and the request just
+        // holds a batch slot.
+        if (cfg_.prefill_chunk_tokens == 0)
+            ingest(a, a.pending.request.prompt.size(), prefill_ms,
+                   pool_ms);
+        if (a.session) // neither failed nor finished at its first token
+            active_.push_back(std::move(a));
     }
+}
+
+Matrix
+BatchScheduler::prefillTo(Active &a, size_t end)
+{
+    // Whole-sequence vs chunked ingestion are different quantization
+    // schedules, so every (re-)ingest of a request takes the same one.
+    if (cfg_.prefill_chunk_tokens == 0)
+        return a.session->prefill(a.pending.request.prompt, a.plan);
+    return a.session->prefillChunk(a.pending.request.prompt,
+                                   a.session->contextLen(), end,
+                                   a.plan);
+}
+
+void
+BatchScheduler::ingest(Active &a, size_t end, double &prefill_ms,
+                       double &pool_ms)
+{
+    const bool chunked = cfg_.prefill_chunk_tokens > 0;
+    const size_t begin = a.session->contextLen();
+    Matrix logits;
+    try {
+        obs::TraceScope span(chunked ? "tick/prefill_chunk"
+                                     : "req/prefill",
+                             a.pending.id, "begin",
+                             static_cast<int64_t>(begin), "end",
+                             static_cast<int64_t>(end));
+        size_t attempt = 0;
+        while (true) {
+            try {
+                auto f0 = std::chrono::steady_clock::now();
+                logits = prefillTo(a, end);
+                prefill_ms +=
+                    msSince(f0, std::chrono::steady_clock::now());
+                break;
+            } catch (const nn::EngineFaultError &) {
+                if (attempt >= cfg_.max_step_retries)
+                    throw;
+                ++attempt;
+                if (metrics_)
+                    metrics_->onStepRetry();
+                obs::traceInstant("fault/step_retry", a.pending.id,
+                                  "attempt",
+                                  static_cast<int64_t>(attempt));
+                // An ingest that died mid-layer left partially written
+                // K/V behind: rebuild the session, which re-ingests
+                // from token 0 under the request's K/V plan. Any
+                // chunking of the same prompt is bit-identical, so
+                // widening a chunk to [0, end) changes only the
+                // schedule.
+                a.session = std::make_unique<nn::InferenceSession>(
+                    model_, backend_, quant_, a.pending.id);
+                std::this_thread::sleep_for(cfg_.step_retry_backoff);
+            }
+        }
+        if (pool_) {
+            auto p0 = std::chrono::steady_clock::now();
+            pool_->noteContext(a.admission.table,
+                               a.session->contextLen());
+            pool_ms += msSince(p0, std::chrono::steady_clock::now());
+        }
+    } catch (...) {
+        failRequest(a, std::current_exception());
+        return;
+    }
+    if (chunked && metrics_)
+        metrics_->onPrefillChunk(end - begin);
+    if (end < a.pending.request.prompt.size())
+        return; // still warming; next chunk next tick
+
+    // Prompt fully ingested: these logits give the first token.
+    a.last_token = std::chrono::steady_clock::now();
+    a.ttft_ms = msSince(a.pending.enqueued, a.last_token);
+    a.generated.push_back(static_cast<int>(nn::argmaxRow(logits, 0)));
+    if (a.pending.request.record_logits)
+        a.step_logits.push_back(std::move(logits));
+    if (metrics_)
+        metrics_->onPrefill(a.ttft_ms);
+    if (a.generated.size() >= a.pending.request.max_new_tokens)
+        finish(a, /*expired=*/false);
 }
 
 void
 BatchScheduler::prefillChunkTick(double &prefill_ms, double &pool_ms)
 {
-    const size_t chunk = cfg_.prefill_chunk_tokens;
     for (Active &a : active_) {
         if (!a.session || !a.warming())
             continue;
-        const std::vector<int> &prompt = a.pending.request.prompt;
-        const size_t n = prompt.size();
-        const size_t begin = a.session->contextLen();
         // The first chunk covers the mapped prefix for free, plus one
         // chunk of real tokens; later chunks resume at contextLen().
+        const size_t begin = a.session->contextLen();
         const size_t prefix =
             a.plan.prefix ? a.plan.prefix->length() : 0;
-        const size_t end =
-            std::min(n, (begin == 0 ? prefix : begin) + chunk);
-        Matrix logits;
-        try {
-            obs::TraceScope span("tick/prefill_chunk", a.pending.id,
-                                 "begin", static_cast<int64_t>(begin),
-                                 "end", static_cast<int64_t>(end));
-            size_t attempt = 0;
-            while (true) {
-                try {
-                    auto f0 = std::chrono::steady_clock::now();
-                    // A fresh (or rebuilt) session re-ingests from 0
-                    // under the request's K/V plan; any chunking of
-                    // the same prompt is bit-identical, so the retry
-                    // that widens the chunk to [0, end) changes
-                    // nothing but the schedule.
-                    logits =
-                        a.session->contextLen() == 0
-                            ? a.session->prefillChunk(prompt, 0, end,
-                                                      a.plan)
-                            : a.session->prefillChunk(
-                                  prompt, a.session->contextLen(),
-                                  end);
-                    prefill_ms += msSince(
-                        f0, std::chrono::steady_clock::now());
-                    break;
-                } catch (const nn::EngineFaultError &) {
-                    if (attempt >= cfg_.max_step_retries)
-                        throw;
-                    ++attempt;
-                    if (metrics_)
-                        metrics_->onStepRetry();
-                    obs::traceInstant(
-                        "fault/step_retry", a.pending.id, "attempt",
-                        static_cast<int64_t>(attempt));
-                    // A chunk that died mid-layer left partially
-                    // written K/V behind: rebuild the session.
-                    a.session =
-                        std::make_unique<nn::InferenceSession>(
-                            model_, backend_, quant_, a.pending.id);
-                    std::this_thread::sleep_for(
-                        cfg_.step_retry_backoff);
-                }
-            }
-            if (pool_) {
-                auto p0 = std::chrono::steady_clock::now();
-                pool_->noteContext(a.admission.table,
-                                   a.session->contextLen());
-                pool_ms +=
-                    msSince(p0, std::chrono::steady_clock::now());
-            }
-        } catch (...) {
-            failRequest(a, std::current_exception());
-            continue;
-        }
-        if (metrics_)
-            metrics_->onPrefillChunk(end - begin);
-        if (end < n)
-            continue; // still warming; next chunk next tick
-        // Prompt fully ingested: this chunk's logits are the
-        // first-token logits (same bookkeeping as a whole prefill).
-        a.last_token = std::chrono::steady_clock::now();
-        a.ttft_ms = msSince(a.pending.enqueued, a.last_token);
-        a.generated.push_back(
-            static_cast<int>(nn::argmaxRow(logits, 0)));
-        if (a.pending.request.record_logits)
-            a.step_logits.push_back(std::move(logits));
-        if (metrics_)
-            metrics_->onPrefill(a.ttft_ms);
-        if (a.generated.size() >= a.pending.request.max_new_tokens)
-            finish(a, /*expired=*/false);
+        ingest(a,
+               std::min(a.pending.request.prompt.size(),
+                        (begin == 0 ? prefix : begin) +
+                            cfg_.prefill_chunk_tokens),
+               prefill_ms, pool_ms);
     }
 }
 
@@ -346,7 +299,6 @@ BatchScheduler::decodeTick()
     // cfg_.max_step_retries such replays; anything else — or retry
     // exhaustion — fails the whole in-flight batch on its futures
     // while the scheduler itself keeps serving.
-    auto t0 = std::chrono::steady_clock::now();
     std::vector<Matrix> logits;
     size_t attempt = 0;
     while (true) {
@@ -404,8 +356,7 @@ BatchScheduler::decodeTick()
             finish(a, /*expired=*/false);
     }
     if (metrics_)
-        metrics_->onDecodeTick(ready.size(),
-                               msSince(t0, t1));
+        metrics_->onDecodeTick(ready.size());
     return msSince(d0, std::chrono::steady_clock::now());
 }
 
@@ -478,17 +429,11 @@ BatchScheduler::replayActiveSessions()
         // partial K/V is intact — prefillChunkTick owns their retry.
         if (!a.session || a.warming())
             continue;
+        // Re-ingest the whole prompt under the request's stored K/V
+        // plan, through the same path it originally took.
         a.session = std::make_unique<nn::InferenceSession>(
             model_, backend_, quant_, a.pending.id);
-        // Re-ingest the prompt under the request's stored K/V plan,
-        // through the same path it originally took (whole-sequence vs
-        // chunked ingestion are different quantization schedules).
-        if (cfg_.prefill_chunk_tokens > 0)
-            a.session->prefillChunk(a.pending.request.prompt, 0,
-                                    a.pending.request.prompt.size(),
-                                    a.plan);
-        else
-            a.session->prefill(a.pending.request.prompt, a.plan);
+        prefillTo(a, a.pending.request.prompt.size());
         // Re-ingest every generated token except the last: that one
         // is the feed of the step being retried. The replayed logits
         // are discarded — identical to the ones already recorded.

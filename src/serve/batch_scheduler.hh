@@ -14,6 +14,11 @@
  * never drains to admit new work (continuous batching, not static
  * batching).
  *
+ * Whole prompts and chunks share one ingest path (ingest()): the
+ * same engine-fault retry with session rebuild, KV-pool context
+ * bookkeeping, and first-token emission. Fault replay re-ingests
+ * through the same whole-vs-chunked switch.
+ *
  * Decoding is greedy: token 0 is the argmax of the prefill logits,
  * token k the argmax of the decode step that re-ingested token k-1.
  * Because every session decodes on its own request_id noise lane, the
@@ -160,14 +165,32 @@ class BatchScheduler
         bool warming() const { return generated.empty(); }
     };
 
-    /** Admit + prefill; accumulates prefill / KV-pool wall time into
-     *  the out-params for the tick's phase accounting. */
+    /** Admit (+ ingest whole prompts); accumulates prefill / KV-pool
+     *  wall time into the out-params for the tick's phase
+     *  accounting. */
     void admit(RequestQueue &queue, double &prefill_ms,
                double &pool_ms);
     /** One prefill chunk for every warming request (chunked mode).
      *  Chunk wall time lands in prefill_ms — per-chunk, in the tick
      *  it actually ran, not under admission. */
     void prefillChunkTick(double &prefill_ms, double &pool_ms);
+    /**
+     * The one prompt-ingest path: advance `a`'s session to prompt
+     * token `end` (the whole prompt at admission, one chunk per tick
+     * in chunked mode) under a "req/prefill" or "tick/prefill_chunk"
+     * span. Transient engine faults get cfg_.max_step_retries retries,
+     * each on a rebuilt session; the pool then learns the new context,
+     * and once `end` reaches the prompt length the first token is
+     * emitted (finishing a one-token request). Any other failure fails
+     * the request alone: afterwards `a.session` is null iff the
+     * request failed or finished.
+     */
+    void ingest(Active &a, size_t end, double &prefill_ms,
+                double &pool_ms);
+    /** Ingest prompt tokens [contextLen(), end) on a's session under
+     *  its K/V plan, whole-sequence or chunked per the config — the
+     *  switch admission, chunks, and fault replay share. No retry. */
+    Matrix prefillTo(Active &a, size_t end);
     /** One fused decode step; returns its wall time in ms. */
     double decodeTick();
     void finish(Active &request, bool expired);

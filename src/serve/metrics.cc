@@ -67,9 +67,8 @@ Metrics::onPrefillChunk(size_t tokens)
 }
 
 void
-Metrics::onDecodeTick(size_t batch_size, double tick_ms)
+Metrics::onDecodeTick(size_t batch_size)
 {
-    (void)tick_ms;
     std::lock_guard<std::mutex> lock(mu_);
     last_activity_ = std::chrono::steady_clock::now();
     counts_.decode_ticks += 1;

@@ -172,7 +172,7 @@ class Metrics
     void onPrefill(double ttft_ms);
     /** One prefill chunk covering `tokens` prompt positions. */
     void onPrefillChunk(size_t tokens);
-    void onDecodeTick(size_t batch_size, double tick_ms);
+    void onDecodeTick(size_t batch_size);
     void recordTokenLatency(double ms);
     void onComplete(bool expired);
     void setGauges(size_t queue_depth, size_t active_requests);

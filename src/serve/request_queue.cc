@@ -40,18 +40,6 @@ RequestQueue::submit(Request request, uint64_t id)
     return future;
 }
 
-std::vector<PendingRequest>
-RequestQueue::take(size_t max_requests)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<PendingRequest> taken;
-    while (!queue_.empty() && taken.size() < max_requests) {
-        taken.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-    }
-    return taken;
-}
-
 std::optional<PendingRequest>
 RequestQueue::takeIf(
     const std::function<bool(const PendingRequest &)> &pred)

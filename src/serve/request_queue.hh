@@ -4,7 +4,7 @@
  * scheduler tick.
  *
  * Clients call submit() from any thread and hold the returned future;
- * the scheduler (one consumer) drains with take() each tick and
+ * the scheduler (one consumer) pops with takeIf() each tick and
  * blocks in waitForWork() while idle. close() flips the queue into a
  * rejecting state for the server's drain/shutdown path — submissions
  * after close throw, which is the "submit after drain" misuse
@@ -21,7 +21,6 @@
 #include <future>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "serve/request.hh"
 
@@ -55,9 +54,6 @@ class RequestQueue
      * request never occupies a queue slot.
      */
     std::future<RequestResult> submit(Request request, uint64_t id);
-
-    /** Pop up to max_requests in FIFO order (non-blocking). */
-    std::vector<PendingRequest> take(size_t max_requests);
 
     /**
      * After this many bypasses a waiting entry is served next

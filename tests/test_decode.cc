@@ -529,6 +529,34 @@ TEST(DecodeKvCache, KvPlansOnOffBitIdenticalAtEveryThreadCount)
             EXPECT_EQ(l_on.maxAbsDiff(l_off), 0.0)
                 << "step " << step << ", threads " << threads;
         }
+
+        // One fused step mixing a 2-part context (a mapped shared
+        // prefix, then the tail) with a 1-part one. The kv-off engine
+        // builds the segment without packed mirrors, so its QK^T / AV
+        // products run on dense views.
+        auto mixedBatch = [&](nn::ExecutionEngine &e) {
+            const nn::QuantConfig quant = nn::QuantConfig::w8a8();
+            nn::SessionKvPlan plan;
+            plan.prefix = nn::InferenceSession::buildKvPrefix(
+                model, e, quant, {1, 2, 3});
+            nn::InferenceSession mapped(model, e, quant, 11);
+            nn::InferenceSession plain(model, e, quant, 12);
+            mapped.prefill({1, 2, 3, 5}, plan);
+            plain.prefill({6, 7});
+            std::vector<Matrix> logits;
+            for (int step = 0; step < 3; ++step)
+                for (Matrix &l : nn::BatchedDecoder::step(
+                         {&mapped, &plain}, {8 + step, 12 + step}))
+                    logits.push_back(std::move(l));
+            return logits;
+        };
+        std::vector<Matrix> mixed_on = mixedBatch(e_on);
+        std::vector<Matrix> mixed_off = mixedBatch(e_off);
+        ASSERT_EQ(mixed_on.size(), mixed_off.size());
+        for (size_t j = 0; j < mixed_on.size(); ++j)
+            EXPECT_EQ(mixed_on[j].maxAbsDiff(mixed_off[j]), 0.0)
+                << "mixed-prefix batch row " << j << ", threads "
+                << threads;
         EXPECT_GT(e_on.stats().kv_encode_hits.load(), 0u);
         EXPECT_EQ(e_off.stats().kv_encode_hits.load(), 0u);
         EXPECT_EQ(e_off.stats().kv_encode_misses.load(), 0u);
@@ -564,31 +592,31 @@ TEST(DecodeKvCache, EncodedBlockPointersStableAcrossMaxTokensAppends)
     };
     step(); // seeds mirrors
     kv.reserve(cfg.max_tokens);
-    ASSERT_EQ(kv.ek_t.size(), static_cast<size_t>(cfg.heads));
-    ASSERT_EQ(kv.ev.size(), static_cast<size_t>(cfg.heads));
+    ASSERT_EQ(kv.tail.ek_t.size(), static_cast<size_t>(cfg.heads));
+    ASSERT_EQ(kv.tail.ev.size(), static_cast<size_t>(cfg.heads));
     std::vector<const double *> backing;
-    for (const auto &e : kv.ek_t)
+    for (const auto &e : kv.tail.ek_t)
         backing.push_back(e.packedData());
-    for (const auto &e : kv.ev)
+    for (const auto &e : kv.tail.ev)
         backing.push_back(e.packedData());
 
     for (size_t t = 1; t < cfg.max_tokens; ++t)
         step();
 
-    EXPECT_EQ(kv.tokens, cfg.max_tokens);
+    EXPECT_EQ(kv.tail.tokens, cfg.max_tokens);
     size_t i = 0;
-    for (const auto &e : kv.ek_t) {
+    for (const auto &e : kv.tail.ek_t) {
         EXPECT_EQ(e.cols(), cfg.max_tokens);
         EXPECT_EQ(e.packedData(), backing[i++])
             << "K^T block moved";
     }
-    for (const auto &e : kv.ev) {
+    for (const auto &e : kv.tail.ev) {
         EXPECT_EQ(e.rows(), cfg.max_tokens);
         EXPECT_EQ(e.packedData(), backing[i++]) << "V block moved";
     }
     // The dense mirrors stayed put too (reserved row growth).
-    EXPECT_EQ(kv.k.front().rows(), cfg.max_tokens);
-    EXPECT_EQ(kv.v.front().rows(), cfg.max_tokens);
+    EXPECT_EQ(kv.tail.k.front().rows(), cfg.max_tokens);
+    EXPECT_EQ(kv.tail.v.front().rows(), cfg.max_tokens);
 }
 
 // ---- weight-plan cache in the decode path -----------------------------

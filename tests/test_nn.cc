@@ -95,22 +95,22 @@ TEST(TensorOps, KvCacheReserveMakesDecodeAppendsAllocationFree)
     Rng rng(0xCAFE);
     AttentionKvCache kv;
     const size_t dk = 4, prefill = 3, max_tokens = 12;
-    kv.k.push_back(randomMatrix(prefill, dk, rng));
-    kv.v.push_back(randomMatrix(prefill, dk, rng));
-    kv.tokens = prefill;
+    kv.tail.k.push_back(randomMatrix(prefill, dk, rng));
+    kv.tail.v.push_back(randomMatrix(prefill, dk, rng));
+    kv.tail.tokens = prefill;
     kv.reserve(max_tokens);
-    const double *k_backing = kv.k[0].data().data();
-    const double *v_backing = kv.v[0].data().data();
+    const double *k_backing = kv.tail.k[0].data().data();
+    const double *v_backing = kv.tail.v[0].data().data();
     for (size_t t = prefill; t < max_tokens; ++t) {
         Matrix row = randomMatrix(1, dk, rng);
-        appendRow(kv.k[0], row);
-        appendRow(kv.v[0], row);
-        kv.tokens += 1;
+        appendRow(kv.tail.k[0], row);
+        appendRow(kv.tail.v[0], row);
+        kv.tail.tokens += 1;
     }
-    EXPECT_EQ(kv.k[0].rows(), max_tokens);
-    EXPECT_EQ(kv.v[0].rows(), max_tokens);
-    EXPECT_EQ(kv.k[0].data().data(), k_backing);
-    EXPECT_EQ(kv.v[0].data().data(), v_backing);
+    EXPECT_EQ(kv.tail.k[0].rows(), max_tokens);
+    EXPECT_EQ(kv.tail.v[0].rows(), max_tokens);
+    EXPECT_EQ(kv.tail.k[0].data().data(), k_backing);
+    EXPECT_EQ(kv.tail.v[0].data().data(), v_backing);
 }
 
 TEST(TensorOps, RowSoftmaxNormalizes)

@@ -261,6 +261,17 @@ TEST(TraceExport, PhaseBreakdownStripsNestedSpansFromAdmission)
     EXPECT_NEAR(pb.pool_ms, 1.0, 1e-9);
     EXPECT_NEAR(pb.decode_ms, 8.0, 1e-9);
     EXPECT_NEAR(pb.totalMs(), 18.0, 1e-9);
+
+    // Chunked prefill: chunk spans (here [18,21)) run outside
+    // tick/admission, so they count as prefill and leave admission
+    // alone.
+    lanes[0].events.push_back(span("tick/prefill_chunk", 18, 3));
+    pb = obs::phaseBreakdown(lanes);
+    EXPECT_NEAR(pb.admission_ms, 5.0, 1e-9);
+    EXPECT_NEAR(pb.prefill_ms, 7.0, 1e-9);
+    EXPECT_NEAR(pb.pool_ms, 1.0, 1e-9);
+    EXPECT_NEAR(pb.decode_ms, 8.0, 1e-9);
+    EXPECT_NEAR(pb.totalMs(), 21.0, 1e-9);
 }
 
 TEST(TraceExport, RequestTimelineListsEventsInTimeOrder)
