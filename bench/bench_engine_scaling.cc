@@ -40,6 +40,13 @@
  * the same decode WITH a recorder installed and reports the traced
  * overhead (not gated: recording cost is a price the user opts into).
  *
+ * Gaussian-draw row ("rng"): ns/draw of per-call, bulk and Fast
+ * sampling, plus the engine's real draw shape under encoding noise
+ * (a fresh tile Rng, then per dot one fillGaussianScaled over 3n
+ * stddevs and one systematic draw) on the draw kernels cpuid picked
+ * and on the baseline ones. Both must hash equal to the same pattern
+ * drawn by per-call gaussian(), or --csv/--json exit nonzero.
+ *
  * Usage: bench_engine_scaling [--csv] [--json [path]]
  *
  * --csv prints the rows as CSV on stdout (the CI smoke mode) and
@@ -51,6 +58,7 @@
  */
 
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -152,10 +160,71 @@ struct DecodeResult
 /** Per-draw cost of the three Gaussian pipelines [ns]. */
 struct RngBenchResult
 {
-    double scalar_ns;  ///< Rng::gaussian per-call (blocked engine)
-    double blocked_ns; ///< Rng::fillGaussian bulk fill
-    double fast_ns;    ///< FastRng::fillGaussian (Ziggurat)
+    double scalar_ns;       ///< Rng::gaussian per-call (blocked engine)
+    double blocked_ns;      ///< Rng::fillGaussian bulk fill
+    double fast_ns;         ///< FastRng::fillGaussian (Ziggurat)
+    const char *kernels;    ///< draw-kernel variant cpuid picked
+    double dot_ns;          ///< engine dot pattern, that variant
+    double dot_baseline_ns; ///< engine dot pattern, baseline kernels
+    bool dot_identical;     ///< both match the per-call reference
 };
+
+/** Output hash and cost of one run of the engine's dot draw pattern. */
+struct DotPatternRun
+{
+    uint64_t hash;
+    uint64_t draws;
+    double seconds;
+};
+
+/**
+ * The draw shape of the encoding-noise DPTC path (DDot's packed dot
+ * plus Dptc::packedSlice): a fresh Rng(deriveSeed(stream, tile)) per
+ * output tile, then per dot one fillGaussianScaled over 3n stddevs
+ * (x magnitude, y magnitude, phase per wavelength; zero operands leave
+ * zero-std holes) and one scalar systematic draw. Depths cycle
+ * 12, 12, 8: the k-slices of a 32-deep product on 12 wavelengths.
+ * With `per_call`, every element is drawn by its own gaussian() call,
+ * the reference the bulk path must reproduce bit for bit.
+ */
+DotPatternRun
+runDotPattern(const detail::RngKernels &kernels,
+              const std::vector<double> &stds, bool per_call)
+{
+    constexpr size_t kTiles = 256;
+    constexpr size_t kDotsPerTile = 96;
+    constexpr size_t kDepths[3] = {12, 12, 8};
+    constexpr double kSystematicStd = 0.02;
+    double out[36];
+    DotPatternRun run{0xcbf29ce484222325ULL, 0, 0.0};
+    auto mix = [&run](double v) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        run.hash = (run.hash ^ bits) * 0x100000001b3ULL;
+    };
+    run.seconds = secondsOf([&] {
+        for (size_t t = 0; t < kTiles; ++t) {
+            Rng rng(deriveSeed(0xD07, t), kernels);
+            for (size_t d = 0; d < kDotsPerTile; ++d) {
+                const size_t n = 3 * kDepths[d % 3];
+                const double *sd = stds.data() + 36 * d;
+                if (per_call) {
+                    for (size_t i = 0; i < n; ++i)
+                        out[i] = rng.gaussian(0.0, sd[i]);
+                } else {
+                    rng.fillGaussianScaled(std::span<double>(out, n),
+                                           std::span<const double>(sd, n),
+                                           0.0);
+                }
+                for (size_t i = 0; i < n; ++i)
+                    mix(out[i]);
+                mix(rng.gaussian(0.0, kSystematicStd));
+            }
+            run.draws += rng.drawCount();
+        }
+    });
+    return run;
+}
 
 /** ns/draw of scalar vs blocked-bulk vs Fast sampling. */
 RngBenchResult
@@ -195,6 +264,32 @@ runRngMicrobench()
     sink += buf[0];
     if (sink == 0.12345) // defeat dead-code elimination of the loops
         std::cerr << "";
+
+    // Per-dot stddevs as DDot hoists them: 0.04 x |operand| with
+    // quantized operands (one in eight is zero), then the phase std.
+    std::vector<double> stds(96 * 36);
+    Rng sgen(0x57D);
+    for (size_t i = 0; i < stds.size(); ++i)
+        stds[i] = i % 3 == 2 ? 0.01
+                             : 0.04 * static_cast<double>(
+                                          sgen.uniformInt(0, 7)) / 7.0;
+    const auto variants = detail::rngKernelVariants();
+    const detail::RngKernels &selected = variants.back();
+    const detail::RngKernels &baseline = variants.front();
+    const DotPatternRun ref = runDotPattern(baseline, stds, true);
+    auto best = [&](const detail::RngKernels &k, bool &identical) {
+        double s = 1e30;
+        for (int r = 0; r < kReps; ++r) {
+            const DotPatternRun run = runDotPattern(k, stds, false);
+            identical &= run.hash == ref.hash && run.draws == ref.draws;
+            s = std::min(s, run.seconds / static_cast<double>(run.draws));
+        }
+        return s * 1e9;
+    };
+    res.kernels = selected.name;
+    res.dot_identical = true;
+    res.dot_ns = best(selected, res.dot_identical);
+    res.dot_baseline_ns = best(baseline, res.dot_identical);
     return res;
 }
 
@@ -575,7 +670,12 @@ main(int argc, char **argv)
         out << "  ],\n"
             << "  \"rng\": {\"scalar_ns_per_draw\": " << rngb.scalar_ns
             << ", \"blocked_ns_per_draw\": " << rngb.blocked_ns
-            << ", \"fast_ns_per_draw\": " << rngb.fast_ns << "},\n"
+            << ", \"fast_ns_per_draw\": " << rngb.fast_ns
+            << ", \"kernels\": \"" << rngb.kernels << "\""
+            << ", \"dot_pattern_ns_per_draw\": " << rngb.dot_ns
+            << ", \"dot_pattern_baseline_ns_per_draw\": "
+            << rngb.dot_baseline_ns << ", \"dot_pattern_identical\": "
+            << (rngb.dot_identical ? "true" : "false") << "},\n"
             << "  \"decode\": {\"model\": \"dim" << decode.dim
             << "x2L8H\", \"prompt\": " << decode.prompt
             << ", \"steps\": " << decode.steps
@@ -694,9 +794,14 @@ main(int argc, char **argv)
                   << decode.kv_hits << "," << decode.kv_misses
                   << "\n";
         std::cout << "\nrng_scalar_ns_per_draw,rng_blocked_ns_per_draw,"
-                     "rng_fast_ns_per_draw\n"
+                     "rng_fast_ns_per_draw,rng_kernels,"
+                     "rng_dot_pattern_ns_per_draw,"
+                     "rng_dot_pattern_baseline_ns_per_draw,"
+                     "rng_dot_pattern_identical\n"
                   << rngb.scalar_ns << "," << rngb.blocked_ns << ","
-                  << rngb.fast_ns << "\n";
+                  << rngb.fast_ns << "," << rngb.kernels << ","
+                  << rngb.dot_ns << "," << rngb.dot_baseline_ns << ","
+                  << (rngb.dot_identical ? 1 : 0) << "\n";
         std::cout << "\nfault_off_vs_verify_identical,"
                      "fault_off_vs_recovered_identical,"
                      "fault_faults_detected,fault_quarantines\n"
@@ -753,6 +858,9 @@ main(int argc, char **argv)
                       << kTracingOverheadBudget
                       << " budget) — disabled TraceScopes must be "
                          "free\n";
+        if (!rngb.dot_identical)
+            std::cerr << "DETERMINISM VIOLATION: bulk draws of the dot "
+                         "pattern differ from per-call gaussian()\n";
         if (!fault_ok)
             std::cerr << "FAULT LAYER VIOLATION: off/verify identical="
                       << fault.off_vs_verify
@@ -762,8 +870,10 @@ main(int argc, char **argv)
                       << " quarantines=" << fault.quarantines
                       << " (want identical=1, detected > 0, "
                          "quarantines >= 1)\n";
-        return all_identical && decode_ok && perf_ok && fault_ok ? 0
-                                                                 : 1;
+        return all_identical && decode_ok && perf_ok && fault_ok &&
+                       rngb.dot_identical
+                   ? 0
+                   : 1;
     }
 
     printBanner(std::cout, "Execution-engine scaling: 256^3 GEMM "
@@ -843,7 +953,17 @@ main(int argc, char **argv)
                    units::fmtFixed(rngb.blocked_ns, 1)});
     rtable.addRow({"FastRng::fillGaussian (Ziggurat)",
                    units::fmtFixed(rngb.fast_ns, 1)});
+    rtable.addRow({std::string("dot pattern, ") + rngb.kernels +
+                       " kernels",
+                   units::fmtFixed(rngb.dot_ns, 1)});
+    rtable.addRow({"dot pattern, baseline kernels",
+                   units::fmtFixed(rngb.dot_baseline_ns, 1)});
     rtable.print(std::cout);
+    std::cout << "\nDot pattern: a fresh tile Rng, then per dot one "
+                 "fillGaussianScaled over 3n\nstddevs (n = 12, 12, 8) "
+                 "and one systematic draw; both variants bit-identical "
+                 "to\nper-call gaussian(): "
+              << (rngb.dot_identical ? "yes" : "NO") << ".\n";
     std::cout << "\nDecode perf gates (enforced in --csv/--json): "
                  "bit-exact cache-on <= "
               << units::fmtFixed(kPreRewriteDecodeMsPerStep /
@@ -893,5 +1013,7 @@ main(int argc, char **argv)
            "extra\nbranch per product — its cost rides the decode "
            "ms/step gate above. This run: "
         << (fault_ok ? "PASS" : "FAIL") << ".\n";
-    return all_identical && decode_ok && fault_ok ? 0 : 1;
+    return all_identical && decode_ok && fault_ok && rngb.dot_identical
+               ? 0
+               : 1;
 }

@@ -1,5 +1,6 @@
 #include "obs/trace.hh"
 
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -27,7 +28,7 @@ std::vector<TraceEvent>
 ThreadSink::drainCopy() const
 {
     const uint64_t h = head_.load(std::memory_order_acquire);
-    const size_t cap = ring_.size();
+    const size_t cap = capacity_;
     const uint64_t retained = h < cap ? h : cap;
     std::vector<TraceEvent> out;
     out.reserve(retained);
@@ -45,6 +46,9 @@ TraceRecorder::TraceRecorder(size_t events_per_thread)
     if (capacity_ == 0)
         throw std::invalid_argument(
             "TraceRecorder: events_per_thread must be > 0");
+    if (capacity_ > std::numeric_limits<size_t>::max() / sizeof(TraceEvent))
+        throw std::invalid_argument(
+            "TraceRecorder: events_per_thread overflows the ring size");
 }
 
 TraceRecorder::~TraceRecorder()
@@ -71,12 +75,17 @@ TraceRecorder::sink()
     if (cache.recorder_id == id_)
         return *cache.sink;
 
+    // Allocate the ring before taking mu_, so a new thread's first
+    // emit never makes other threads' registrations, droppedEvents()
+    // or snapshot() wait on it. The lane number is the registration
+    // order, assigned under the lock.
+    auto sink = std::make_unique<ThreadSink>(capacity_);
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t lane = sinks_.size();
-    sinks_.push_back(std::make_unique<ThreadSink>(capacity_, lane,
-                                                  threadLabel(lane)));
+    sink->lane_ = sinks_.size();
+    sink->label_ = threadLabel(sink->lane_);
     cache.recorder_id = id_;
-    cache.sink = sinks_.back().get();
+    cache.sink = sink.get();
+    sinks_.push_back(std::move(sink));
     return *cache.sink;
 }
 

@@ -50,7 +50,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lt {
@@ -98,12 +100,19 @@ struct TraceEvent
 /**
  * One thread's private event ring. Single producer (the owning
  * thread); the recorder reads it through the published head counter.
+ *
+ * The ring's slots are allocated but never initialized: a slot is
+ * first written by emit(), and drainCopy() reads only written slots.
+ * So a fresh sink costs one allocation, not O(capacity) work, and its
+ * pages fault in as the ring fills.
  */
 class ThreadSink
 {
   public:
-    ThreadSink(size_t capacity, size_t lane, std::string label)
-        : ring_(capacity), lane_(lane), label_(std::move(label))
+    explicit ThreadSink(size_t capacity)
+        : ring_(static_cast<TraceEvent *>(
+              ::operator new(capacity * sizeof(TraceEvent)))),
+          capacity_(capacity)
     {
     }
 
@@ -112,13 +121,13 @@ class ThreadSink
     emit(const TraceEvent &e)
     {
         const uint64_t h = head_.load(std::memory_order_relaxed);
-        ring_[h % ring_.size()] = e;
+        ring_[h % capacity_] = e;
         head_.store(h + 1, std::memory_order_release);
     }
 
     size_t lane() const { return lane_; }
     const std::string &label() const { return label_; }
-    size_t capacity() const { return ring_.size(); }
+    size_t capacity() const { return capacity_; }
 
     /** Events ever emitted (>= capacity means the ring wrapped). */
     uint64_t
@@ -132,16 +141,29 @@ class ThreadSink
     dropped() const
     {
         const uint64_t h = emitted();
-        return h > ring_.size() ? h - ring_.size() : 0;
+        return h > capacity_ ? h - capacity_ : 0;
     }
 
     /** Copy the retained events, oldest first. */
     std::vector<TraceEvent> drainCopy() const;
 
   private:
-    std::vector<TraceEvent> ring_;
+    friend class TraceRecorder; // assigns lane_ and label_ at registration
+
+    /** Frees the raw ring storage (TraceEvent is trivially destructible). */
+    struct FreeRing
+    {
+        void operator()(TraceEvent *p) const { ::operator delete(p); }
+    };
+
+    // TraceEvent is an implicit-lifetime aggregate, so operator new's
+    // storage already holds its objects; emit() assigns them.
+    static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                  std::is_trivially_destructible_v<TraceEvent>);
+    std::unique_ptr<TraceEvent[], FreeRing> ring_;
+    size_t capacity_;
     std::atomic<uint64_t> head_{0};
-    size_t lane_;
+    size_t lane_ = 0;
     std::string label_;
 };
 

@@ -9,12 +9,16 @@
  * Implementation note (the fast noise pipeline): Rng reimplements the
  * libstdc++ draw algorithms it has always used — mt19937_64 and the
  * rejection-based polar normal_distribution with fresh-distribution
- * semantics per draw — as a blocked kernel, so that the sequence of every
- * existing noise stream is preserved BIT-EXACTLY while the per-draw cost
- * drops by ~2.5x (blocked engine refills, branchless u64->double
- * conversion, and two-pass bulk Gaussian fills that vectorize the
- * candidate pass and batch the log/sqrt pass). tests/test_util.cc pins
- * the sequences directly against the std:: reference types.
+ * semantics per draw — so that every existing noise stream is
+ * preserved BIT-EXACTLY. The class keeps the control flow (block
+ * position, chunking, zero-std compaction); the arithmetic runs in
+ * three kernels in util/rng_kernels.cc — the mt19937-64 refill, the
+ * polar candidate pass and the sqrt/divide half of the transform —
+ * compiled as baseline, AVX2 and AVX-512 variants and picked once per
+ * process from cpuid (no setting selects them). That file is compiled
+ * with fp-contract=off, since a fused x*x + y*y changes the sequence.
+ * tests/test_util.cc pins the sequences of every variant the CPU
+ * supports directly against the std:: reference types.
  *
  * The contract every consumer relies on:
  *  - uniform()/uniformInt()/bernoulli() run the std:: distributions over
@@ -64,6 +68,50 @@ deriveSeed(uint64_t base, uint64_t counter)
     return splitMix64(base ^ splitMix64(counter));
 }
 
+namespace detail {
+
+/**
+ * One ISA variant of Rng's draw kernels (util/rng_kernels.cc). Every
+ * variant produces identical bits; they differ only in speed.
+ */
+struct RngKernels
+{
+    const char *name; ///< "baseline", "avx2" or "avx512"
+
+    /**
+     * mt19937-64 twist of the 312-word `state` in place, tempered
+     * into `out`.
+     */
+    void (*refill)(uint64_t *state, uint64_t *out);
+
+    /**
+     * Polar candidate pass over the word pairs (u[2p], u[2p+1]),
+     * p < pairs, in order: stores the accepted (y, r^2) pairs to
+     * ys/r2s, stopping at the pair that yields the want-th accept.
+     * Sets *accepted (<= want) and returns the pairs consumed. ys and
+     * r2s must hold `want` elements.
+     */
+    size_t (*polarPairs)(const uint64_t *u, size_t pairs, size_t want,
+                         double *ys, double *r2s, size_t *accepted);
+
+    /**
+     * out[j] = ys[j] * sqrt(-2 ln r2s[j] / r2s[j]) * stds[j] + mean
+     * for j < n; `out` must not overlap the inputs.
+     */
+    void (*polarFinish)(const double *ys, const double *r2s,
+                        const double *stds, size_t n, double mean,
+                        double *out);
+};
+
+/**
+ * The variants compiled in that this CPU can run, baseline first and
+ * the fastest last, found once per process from cpuid. Rng uses the
+ * last; tests and benchmarks pin the others. It is not a user setting.
+ */
+std::span<const RngKernels> rngKernelVariants();
+
+} // namespace detail
+
 /**
  * A seeded generator with the distributions the simulator needs, drawing
  * from a blocked reimplementation of std::mt19937_64 (sequence-exact; the
@@ -74,7 +122,20 @@ deriveSeed(uint64_t base, uint64_t counter)
 class Rng
 {
   public:
-    explicit Rng(uint64_t seed = 0x4c54'2024ULL) { reseed(seed); }
+    /** Words per mt19937-64 state block. */
+    static constexpr size_t kBlockWords = 312;
+
+    explicit Rng(uint64_t seed = 0x4c54'2024ULL)
+        : Rng(seed, detail::rngKernelVariants().back())
+    {
+    }
+
+    /** A generator on one given kernel variant (tests, benchmarks). */
+    Rng(uint64_t seed, const detail::RngKernels &kernels)
+        : k_(&kernels)
+    {
+        reseed(seed);
+    }
 
     /**
      * The raw engine output stream — identical, u64 for u64, to
@@ -132,7 +193,10 @@ class Rng
     {
         if (stddev <= 0.0)
             return mean;
-        return polarOne() * stddev + mean;
+        double y, r2, out;
+        drawPolar(&y, &r2, 1);
+        k_->polarFinish(&y, &r2, &stddev, 1, mean, &out);
+        return out;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */
@@ -196,21 +260,15 @@ class Rng
                  double stddev = 1.0)
     {
         if (stddev <= 0.0) {
-            for (double &x : out)
-                x = mean;
+            std::fill(out.begin(), out.end(), mean);
             return;
         }
-        double ys[kChunk], r2s[kChunk];
-        size_t done = 0;
-        while (done < out.size()) {
+        double ys[kChunk], r2s[kChunk], stds[kChunk];
+        std::fill_n(stds, std::min(out.size(), kChunk), stddev);
+        for (size_t done = 0; done < out.size(); done += kChunk) {
             const size_t n = std::min(out.size() - done, kChunk);
-            drawPolarBatch(ys, r2s, n);
-            for (size_t j = 0; j < n; ++j) {
-                double ret =
-                    ys[j] * std::sqrt(-2.0 * std::log(r2s[j]) / r2s[j]);
-                out[done + j] = ret * stddev + mean;
-            }
-            done += n;
+            drawPolar(ys, r2s, n);
+            k_->polarFinish(ys, r2s, stds, n, mean, out.data() + done);
         }
     }
 
@@ -229,24 +287,25 @@ class Rng
                        std::span<const double> stddevs, double mean = 0.0)
     {
         assert(out.size() == stddevs.size());
-        double ys[kChunk], r2s[kChunk];
+        double ys[kChunk], r2s[kChunk], stds[kChunk], vals[kChunk];
         size_t idxs[kChunk];
-        size_t i = 0;
-        while (i < out.size()) {
+        for (size_t base = 0; base < out.size(); base += kChunk) {
+            const size_t n = std::min(out.size() - base, kChunk);
+            // Compact the positive stddevs without branching: every
+            // element is stored at the write index, which advances
+            // only past positive ones; holes keep the mean.
             size_t cnt = 0;
-            while (i < out.size() && cnt < kChunk) {
-                if (stddevs[i] > 0.0)
-                    idxs[cnt++] = i;
-                else
-                    out[i] = mean;
-                ++i;
+            for (size_t i = 0; i < n; ++i) {
+                const double s = stddevs[base + i];
+                stds[cnt] = s;
+                idxs[cnt] = base + i;
+                cnt += s > 0.0;
+                out[base + i] = mean;
             }
-            drawPolarBatch(ys, r2s, cnt);
-            for (size_t j = 0; j < cnt; ++j) {
-                double ret =
-                    ys[j] * std::sqrt(-2.0 * std::log(r2s[j]) / r2s[j]);
-                out[idxs[j]] = ret * stddevs[idxs[j]] + mean;
-            }
+            drawPolar(ys, r2s, cnt);
+            k_->polarFinish(ys, r2s, stds, cnt, mean, vals);
+            for (size_t j = 0; j < cnt; ++j)
+                out[idxs[j]] = vals[j];
         }
     }
 
@@ -267,12 +326,7 @@ class Rng
     uint64_t drawCount() const { return draws_; }
 
   private:
-    // mt19937_64 standard parameters (sequence-exact reimplementation).
-    static constexpr size_t kN = 312;
-    static constexpr size_t kM = 156;
-    static constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
-    static constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ULL;
-    static constexpr uint64_t kLowerMask = 0x7FFFFFFFULL;
+    static constexpr size_t kN = kBlockWords;
     static constexpr size_t kChunk = 256; ///< bulk-fill batch size
 
     void
@@ -286,140 +340,50 @@ class Rng
         pos_ = kN;
     }
 
-    /**
-     * Regenerate and temper the whole state block at once. The twist
-     * runs in three wrap-free regions with a branchless matrix-A
-     * select, and the temper loop is independent per word — both
-     * vectorize, which is where the per-output win over the std::
-     * one-word-at-a-time path comes from.
-     */
+    /** Regenerate and temper the whole state block at once. */
     void
     refill()
     {
-        for (size_t i = 0; i < kN - kM; ++i) {
-            uint64_t x = (state_[i] & kUpperMask) |
-                         (state_[i + 1] & kLowerMask);
-            state_[i] = state_[i + kM] ^ (x >> 1) ^
-                        ((-(x & 1)) & kMatrixA);
-        }
-        for (size_t i = kN - kM; i < kN - 1; ++i) {
-            uint64_t x = (state_[i] & kUpperMask) |
-                         (state_[i + 1] & kLowerMask);
-            state_[i] = state_[i + kM - kN] ^ (x >> 1) ^
-                        ((-(x & 1)) & kMatrixA);
-        }
-        uint64_t x =
-            (state_[kN - 1] & kUpperMask) | (state_[0] & kLowerMask);
-        state_[kN - 1] =
-            state_[kM - 1] ^ (x >> 1) ^ ((-(x & 1)) & kMatrixA);
-        for (size_t i = 0; i < kN; ++i) {
-            uint64_t y = state_[i];
-            y ^= (y >> 29) & 0x5555555555555555ULL;
-            y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
-            y ^= (y << 37) & 0xFFF7EEE000000000ULL;
-            y ^= y >> 43;
-            out_[i] = y;
-        }
+        k_->refill(state_, out_);
         pos_ = 0;
     }
 
     /**
-     * Branchless correctly-rounded u64 -> double: both halves convert
-     * exactly through int64 (the unsigned conversion GCC emits is a
-     * branch), and the single rounding happens at the add — identical
-     * to a direct round-to-nearest conversion of the full value.
-     */
-    static double
-    u64ToDouble(uint64_t u)
-    {
-        return static_cast<double>(static_cast<int64_t>(u >> 11)) *
-                   2048.0 +
-               static_cast<double>(static_cast<int64_t>(u & 2047));
-    }
-
-    /**
-     * std::generate_canonical<double, 53> over mt19937_64, bit-exact:
-     * one engine draw scaled by 2^-64, clamped below 1.0 (the clamp
-     * DOES trigger — u64 values within half an ulp of 2^64 round up).
-     */
-    static double
-    canonicalOf(uint64_t u)
-    {
-        double r = u64ToDouble(u) / 18446744073709551616.0;
-        if (r >= 1.0)
-            r = std::nextafter(1.0, 0.0);
-        return r;
-    }
-
-    double canonical() { return canonicalOf(nextU64()); }
-
-    /**
-     * One standard-normal draw, the exact libstdc++ polar rejection
-     * sequence of a FRESH std::normal_distribution (the saved second
-     * value is discarded, as every per-draw-constructed distribution
-     * in this codebase always has).
-     */
-    double
-    polarOne()
-    {
-        double x, y, r2;
-        do {
-            x = 2.0 * canonical() - 1.0;
-            y = 2.0 * canonical() - 1.0;
-            r2 = x * x + y * y;
-        } while (r2 > 1.0 || r2 == 0.0);
-        ++draws_;
-        return y * std::sqrt(-2.0 * std::log(r2) / r2);
-    }
-
-    /**
-     * The bulk candidate pass: produce `count` ACCEPTED polar pairs
-     * (y, r2) in draw-sequence order, consuming engine outputs exactly
-     * as `count` scalar rejection loops would. Candidate pairs are
-     * converted speculatively straight from the tempered block (pure
-     * reads; the consumed position advances only past pairs actually
-     * inspected), so the conversion + r2 test runs branch-light over
-     * contiguous words; callers then batch the log/sqrt transform.
+     * Produce `count` ACCEPTED polar pairs (y, r2) in draw-sequence
+     * order, consuming engine outputs exactly as `count` scalar
+     * rejection loops of a fresh std::normal_distribution would. The
+     * candidate pass reads straight from the tempered block; the
+     * consumed position advances only past pairs actually inspected.
      */
     void
-    drawPolarBatch(double *ys, double *r2s, size_t count)
+    drawPolar(double *ys, double *r2s, size_t count)
     {
         size_t idx = 0;
         while (idx < count) {
             if (pos_ == kN)
                 refill();
-            const size_t pairs_avail = (kN - pos_) / 2;
-            if (pairs_avail == 0) {
+            size_t accepted;
+            if (pos_ == kN - 1) {
                 // One leftover word: the candidate pair straddles a
-                // block boundary — take it through nextU64().
-                double x = 2.0 * canonical() - 1.0;
-                double y = 2.0 * canonical() - 1.0;
-                double r2 = x * x + y * y;
-                if (!(r2 > 1.0 || r2 == 0.0)) {
-                    ys[idx] = y;
-                    r2s[idx] = r2;
-                    ++idx;
-                }
-                continue;
+                // block boundary.
+                uint64_t pair[2];
+                pair[0] = out_[kN - 1];
+                refill();
+                pair[1] = out_[0];
+                pos_ = 1;
+                k_->polarPairs(pair, 1, count - idx, ys + idx, r2s + idx,
+                               &accepted);
+            } else {
+                pos_ += 2 * k_->polarPairs(out_ + pos_, (kN - pos_) / 2,
+                                           count - idx, ys + idx,
+                                           r2s + idx, &accepted);
             }
-            const uint64_t *u = out_ + pos_;
-            size_t consumed = 0;
-            for (size_t p = 0; p < pairs_avail && idx < count; ++p) {
-                double x = 2.0 * canonicalOf(u[2 * p]) - 1.0;
-                double y = 2.0 * canonicalOf(u[2 * p + 1]) - 1.0;
-                double r2 = x * x + y * y;
-                ++consumed;
-                if (!(r2 > 1.0 || r2 == 0.0)) {
-                    ys[idx] = y;
-                    r2s[idx] = r2;
-                    ++idx;
-                }
-            }
-            pos_ += 2 * consumed;
+            idx += accepted;
         }
         draws_ += count;
     }
 
+    const detail::RngKernels *k_;
     uint64_t state_[kN];
     uint64_t out_[kN];
     size_t pos_ = kN;

@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -415,6 +417,46 @@ TEST(Histogram, RejectsDegenerateConfig)
 TEST(TraceRecorder, RejectsZeroCapacity)
 {
     EXPECT_THROW(obs::TraceRecorder(0), std::invalid_argument);
+}
+
+/** This process's resident set [KiB] from /proc/self/status, or -1. */
+long
+vmRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    return -1;
+}
+
+TEST(TraceRecorder, FirstEmitOnAFreshThreadDoesNoCapacityWork)
+{
+    // A thread's first emit registers its ring. The slots stay
+    // unwritten until emit() fills them, so a large ring costs
+    // resident memory only as it fills; value-initializing 2^19 slots
+    // would fault in ~46 MB inside that first traced call.
+    constexpr size_t kCapacity = size_t(1) << 19;
+    const long ring_kb =
+        static_cast<long>(kCapacity * sizeof(obs::TraceEvent) / 1024);
+    ScopedRecorder scoped(kCapacity);
+    const long before = vmRssKb();
+    if (before < 0)
+        GTEST_SKIP() << "no VmRSS line in /proc/self/status";
+    long after = -1;
+    std::thread t([&] {
+        obs::traceInstant("first", 7);
+        after = vmRssKb();
+    });
+    t.join();
+    EXPECT_LT(after - before, ring_kb / 8)
+        << "ring " << ring_kb << " KiB, RSS " << before << " -> "
+        << after << " KiB";
+    const auto lanes = scoped.rec.snapshot();
+    ASSERT_EQ(lanes.size(), 1u);
+    ASSERT_EQ(lanes[0].events.size(), 1u);
+    EXPECT_EQ(lanes[0].events[0].request_id, 7u);
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/fast_rng.hh"
@@ -301,6 +303,162 @@ TEST(Rng, DrawCountCountsAcceptedGaussians)
     rng.fillGaussianScaled(scaled, stds);
     EXPECT_EQ(rng.drawCount(), 126u);
 }
+
+namespace {
+
+/**
+ * Every kernel variant is pinned separately: the test runs the variant
+ * named by the parameter when this CPU supports it and skips it by
+ * name otherwise.
+ */
+class RngKernelVariant : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    const detail::RngKernels *
+    kernels() const
+    {
+        for (const detail::RngKernels &k : detail::rngKernelVariants())
+            if (std::string_view(k.name) == GetParam())
+                return &k;
+        return nullptr;
+    }
+};
+
+/** A URBG that replays fixed words, mt19937_64's range. */
+struct ReplayWords
+{
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~0ULL; }
+    const std::vector<uint64_t> *words;
+    size_t pos = 0;
+    result_type operator()() { return (*words)[pos++]; }
+};
+
+} // namespace
+
+TEST_P(RngKernelVariant, BulkFillsMatchStdNormalDistribution)
+{
+    // Draw for draw against a fresh std::normal_distribution per
+    // element over std::mt19937_64: random batch sizes 1-700 cross
+    // block refills and the 256-element chunk, scaled fills carry
+    // zero-std holes (which consume nothing), scalar draws interleave,
+    // and single raw words shift the block position to odd so candidate
+    // pairs straddle refills.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    Rng rng(0x5EED, *k);
+    std::mt19937_64 ref(0x5EED);
+    Rng plan(77); // batch shapes only
+    std::vector<double> out, stds;
+    uint64_t draws = 0;
+    while (draws < 250000) {
+        const size_t n = static_cast<size_t>(plan.uniformInt(1, 700));
+        out.assign(n, 0.0);
+        const int kind = static_cast<int>(plan.uniformInt(0, 3));
+        if (kind == 0) {
+            const double mean = plan.uniform(-1.0, 1.0);
+            const double sd = plan.uniform(0.01, 3.0);
+            rng.fillGaussian(out, mean, sd);
+            for (size_t i = 0; i < n; ++i) {
+                std::normal_distribution<double> d(mean, sd);
+                ASSERT_EQ(out[i], d(ref)) << "fill, element " << i;
+            }
+            draws += n;
+        } else if (kind == 1) {
+            stds.assign(n, 0.0);
+            for (double &s : stds)
+                s = plan.bernoulli(0.25) ? 0.0 : plan.uniform(0.01, 2.0);
+            rng.fillGaussianScaled(out, stds, 0.125);
+            for (size_t i = 0; i < n; ++i) {
+                if (stds[i] > 0.0) {
+                    std::normal_distribution<double> d(0.125, stds[i]);
+                    ASSERT_EQ(out[i], d(ref)) << "scaled, element " << i;
+                    ++draws;
+                } else {
+                    ASSERT_EQ(out[i], 0.125) << "scaled hole " << i;
+                }
+            }
+        } else if (kind == 2) {
+            std::normal_distribution<double> d(0.5, 2.0);
+            ASSERT_EQ(rng.gaussian(0.5, 2.0), d(ref));
+            ++draws;
+        } else {
+            ASSERT_EQ(rng.nextU64(), ref());
+        }
+    }
+    EXPECT_EQ(rng.drawCount(), draws);
+}
+
+TEST_P(RngKernelVariant, CraftedWordsHitClampAndZeroRadius)
+{
+    // Words the mt19937_64 stream rarely produces, fed to the kernels
+    // directly and replayed through std::normal_distribution:
+    //  - 2^63 twice: x = y = 0, so r^2 == 0 and the pair is rejected;
+    //  - a word >= 2^64 - 2^10 rounds to 2^64, so the canonical value
+    //    is clamped to 1 - 2^-53 and y = 1 - 2^-52 (unclamped, y = 1
+    //    would give r^2 == 1 and a zero draw);
+    //  - 2^64 - 2^10 - 1 rounds down to 2^64 - 2^11, the same value;
+    //  - word 0 gives x = -1, so r^2 == 1 exactly, which is accepted.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    const uint64_t half = 1ULL << 63;
+    const uint64_t round_up = ~0ULL - 1023; // 2^64 - 2^10
+    std::vector<uint64_t> words = {half,          half,     // rejected
+                                   half,          round_up, // clamped y
+                                   half,          ~0ULL,    // clamped y
+                                   round_up - 1,  half,     // rounds down
+                                   0,             half,     // r^2 == 1
+                                   half,          half};    // rejected
+    Rng filler(4);
+    for (int i = 0; i < 200; ++i)
+        words.push_back(filler.nextU64());
+    const size_t pairs = words.size() / 2;
+
+    std::vector<double> ys(pairs), r2s(pairs), vals(pairs);
+    size_t accepted = 0;
+    const size_t used = k->polarPairs(words.data(), pairs, pairs,
+                                      ys.data(), r2s.data(), &accepted);
+    ASSERT_GE(accepted, 4u);
+    EXPECT_EQ(ys[0], 1.0 - 0x1p-52);
+    EXPECT_EQ(ys[1], 1.0 - 0x1p-52);
+    EXPECT_EQ(r2s[3], 1.0);
+    const std::vector<double> ones(pairs, 1.0);
+    k->polarFinish(ys.data(), r2s.data(), ones.data(), accepted, 0.0,
+                   vals.data());
+
+    ReplayWords replay{&words};
+    for (size_t i = 0; i < accepted; ++i) {
+        std::normal_distribution<double> d;
+        ASSERT_EQ(vals[i], d(replay)) << "draw " << i;
+    }
+    EXPECT_EQ(2 * used, replay.pos);
+
+    // Asked for fewer accepts, the pass stops at the pair that yields
+    // the last one: the same consumption as that many scalar draws.
+    for (size_t want : {1, 2, 3, 7}) {
+        ReplayWords r{&words};
+        for (size_t i = 0; i < want; ++i) {
+            std::normal_distribution<double> d;
+            d(r);
+        }
+        size_t got = 0;
+        EXPECT_EQ(2 * k->polarPairs(words.data(), pairs, want, ys.data(),
+                                    r2s.data(), &got),
+                  r.pos)
+            << "want " << want;
+        EXPECT_EQ(got, want);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rng, RngKernelVariant,
+    ::testing::Values("baseline", "avx2", "avx512"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        return std::string(info.param);
+    });
 
 TEST(FastRng, GaussianMomentsAtSeveralPoints)
 {
