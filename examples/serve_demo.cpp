@@ -200,8 +200,8 @@ main(int argc, char **argv)
            "fused step issues\nO(layers) gemmBatch dispatches however "
            "many requests are active, and every\nrequest's logits are "
            "bit-identical to running it alone on its noise lane\n"
-           "(tests/test_serve.cc and bench_serve_throughput assert "
-           "both). The shared\nsystem prompt encoded once: every "
+           "(tests/test_serve.cc asserts both). The shared\n"
+           "system prompt encoded once: every "
            "request after the first mapped its KV\nblocks "
            "copy-on-write instead of re-running prefill over the "
            "prefix.\n";

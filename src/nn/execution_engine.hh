@@ -57,48 +57,6 @@ struct FaultPolicy
     bool verify = false;
 
     /**
-     * Every checksum compares a deviation from the digital recompute
-     * against the element's PHYSICAL noise basis
-     * sigma^2 = scale^2 * (sum_slices partial^2 + sum_j (a_j b_j)^2):
-     * the kernel's stochastic terms multiply each k-slice partial dot
-     * and each analog product, not the final accumulated value, so
-     * output-anchored envelopes misfire on cancellation-heavy columns
-     * (logits columns ride ~0.1 outputs on ~0.5 partials). All three
-     * tolerances are calibrated against the empirical worst case at
-     * DOUBLE the paper's noise across serve workloads and random
-     * sweeps with both samplers; tighten only with lighter noise.
-     */
-
-    /**
-     * Per-column signed-sum multiplier: |sum_obs - sum_exp| vs the
-     * RSS of the column's element bases. Distributed bias along a
-     * column accumulates linearly while the envelope grows as
-     * sqrt(rows). Measured legit max 0.40 at 2x paper noise.
-     */
-    double tolerance = 1.0;
-
-    /**
-     * Per-element multiplier: |obs - exp| vs the element's own basis.
-     * The localized-fault detector (dead tile, stuck channel, bit
-     * flip, strong drift). Measured legit max 0.46 at 2x paper noise.
-     */
-    double elem_tolerance = 1.0;
-
-    /**
-     * Tile-deviation multiplier: ||O - D||_F vs the RSS of all
-     * element bases. Legitimate per-element deviations are
-     * independent draws at a small fraction of their basis, so this
-     * ratio concentrates with tile size; coherent corruption spread
-     * thinly across the tile (mild calibration drift) does not. The
-     * check adds a (1 + 2/sqrt(N)) small-tile relaxation in code.
-     * Measured legit max 0.21 at 2x paper noise.
-     */
-    double norm_tolerance = 0.30;
-
-    /** Absolute slack added to every checksum comparison. */
-    double abs_tolerance = 1e-9;
-
-    /**
      * Re-executions of a detected-faulty tile (each on a different
      * healthy replica) before the product gives up with
      * EngineFaultError.

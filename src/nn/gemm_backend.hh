@@ -101,7 +101,8 @@ struct GemmStats
      * gemmBatch invocations (one per batch, however many products it
      * carries). The continuous-batching acceptance metric: a fused
      * decode step dispatches O(layers) batches regardless of how many
-     * requests ride in each (bench_serve_throughput reports it).
+     * requests ride in each (test_serve pins it at batch sizes
+     * 1..16).
      */
     std::atomic<size_t> batch_calls{0};
 
@@ -111,7 +112,7 @@ struct GemmStats
      * metric of the block-diagonal fusion path: a fused decode step
      * dispatches 6·depth+1 stacked projections plus 2·depth attention
      * batches, so total dispatches/step drop from 8·depth+1 to
-     * 2·depth + (stacked) — bench_serve_throughput gates it.
+     * 2·depth + (stacked) — test_serve pins both counts exactly.
      */
     std::atomic<size_t> stacked_calls{0};
 

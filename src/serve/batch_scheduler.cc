@@ -201,7 +201,7 @@ BatchScheduler::ingest(Active &a, size_t end, double &prefill_ms,
                     msSince(f0, std::chrono::steady_clock::now());
                 break;
             } catch (const nn::EngineFaultError &) {
-                if (attempt >= cfg_.max_step_retries)
+                if (attempt >= kMaxStepRetries)
                     throw;
                 ++attempt;
                 if (metrics_)
@@ -296,7 +296,7 @@ BatchScheduler::decodeTick()
     // retry first replays all sessions from their prompts (cheap at
     // serve scale, and bit-identical thanks to the per-request noise
     // lanes) before re-running the step. Transient engine faults get
-    // cfg_.max_step_retries such replays; anything else — or retry
+    // kMaxStepRetries such replays; anything else — or retry
     // exhaustion — fails the whole in-flight batch on its futures
     // while the scheduler itself keeps serving.
     std::vector<Matrix> logits;
@@ -312,7 +312,7 @@ BatchScheduler::decodeTick()
             logits = nn::BatchedDecoder::step(sessions, feed);
             break;
         } catch (const nn::EngineFaultError &) {
-            if (attempt >= cfg_.max_step_retries) {
+            if (attempt >= kMaxStepRetries) {
                 failActiveBatch(std::current_exception());
                 return msSince(d0, std::chrono::steady_clock::now());
             }
@@ -337,10 +337,8 @@ BatchScheduler::decodeTick()
             static_cast<int>(nn::argmaxRow(logits[k], 0)));
         if (a.pending.request.record_logits)
             a.step_logits.push_back(std::move(logits[k]));
-        double gap = msSince(a.last_token, t1);
-        a.token_max_gap_ms = std::max(a.token_max_gap_ms, gap);
         if (metrics_)
-            metrics_->recordTokenLatency(gap);
+            metrics_->recordTokenLatency(msSince(a.last_token, t1));
         obs::traceInstant(
             "req/token", a.pending.id, "batch",
             static_cast<int64_t>(ready.size()), "tokens",
@@ -374,7 +372,6 @@ BatchScheduler::finish(Active &request, bool expired)
     // TTFT is the (missed) total.
     result.ttft_ms =
         result.generated.empty() ? result.total_ms : request.ttft_ms;
-    result.token_max_gap_ms = request.token_max_gap_ms;
     obs::traceInstant(
         expired ? "req/expired" : "req/complete", request.pending.id,
         "tokens", static_cast<int64_t>(result.generated.size()));

@@ -58,20 +58,10 @@ struct SchedulerConfig
 {
     /**
      * Max concurrent decode sessions (the admission bound). Mirrors
-     * the batch the accelerator's SRAM/HBM budget would sustain;
-     * bench_serve_throughput sweeps it 1..16.
+     * the batch the accelerator's SRAM/HBM budget would sustain; the
+     * serve tests run it 1..16, and bench_serve_slo serves 16.
      */
     size_t max_batch = 8;
-
-    /**
-     * Bounded retries after a transient nn::EngineFaultError during
-     * prefill or a fused decode step, before the affected request(s)
-     * are failed on their futures. Each decode-step retry replays the
-     * active sessions from their prompts (deterministic noise lanes
-     * make the replay bit-identical), so the re-run starts from
-     * consistent KV state even when the failed step died mid-layer.
-     */
-    size_t max_step_retries = 2;
 
     /** Backoff between engine-fault retries (gives quarantine and
      *  transient upsets time to clear). */
@@ -89,8 +79,8 @@ struct SchedulerConfig
      * request's logits are bit-identical for ANY chunk size — but
      * chunked ingestion is a different (per-token) quantization
      * schedule than the whole-sequence prefill forward, so solo
-     * reference runs must use prefillChunk too (the serve benches
-     * do). With a shared prefix the mapped positions are free: the
+     * reference runs must use prefillChunk too (test_chunked_prefill
+     * does). With a shared prefix the mapped positions are free: the
      * first chunk covers the prefix plus one chunk of real tokens.
      */
     size_t prefill_chunk_tokens = 0;
@@ -100,6 +90,16 @@ struct SchedulerConfig
 class BatchScheduler
 {
   public:
+    /**
+     * Bounded retries after a transient nn::EngineFaultError during
+     * prefill or a fused decode step, before the affected request(s)
+     * are failed on their futures. Each decode-step retry replays the
+     * active sessions from their prompts (deterministic noise lanes
+     * make the replay bit-identical), so the re-run starts from
+     * consistent KV state even when the failed step died mid-layer.
+     */
+    static constexpr size_t kMaxStepRetries = 2;
+
     /**
      * @param model shared decoder (InferenceSession's requirements)
      * @param backend shared GEMM engine for every session
@@ -151,9 +151,6 @@ class BatchScheduler
         std::vector<Matrix> step_logits;
         std::chrono::steady_clock::time_point last_token;
         double ttft_ms = 0.0; ///< submit -> prefill completion
-        /** Largest gap between consecutive emitted tokens — the
-         *  stall metric chunked prefill exists to bound. */
-        double token_max_gap_ms = 0.0;
         /** The session's K/V plan (prefix + reservation): chunked
          *  prefill resumes under it, fault replay rebuilds from it. */
         nn::SessionKvPlan plan;
@@ -178,7 +175,7 @@ class BatchScheduler
      * The one prompt-ingest path: advance `a`'s session to prompt
      * token `end` (the whole prompt at admission, one chunk per tick
      * in chunked mode) under a "req/prefill" or "tick/prefill_chunk"
-     * span. Transient engine faults get cfg_.max_step_retries retries,
+     * span. Transient engine faults get kMaxStepRetries retries,
      * each on a rebuilt session; the pool then learns the new context,
      * and once `end` reaches the prompt length the first token is
      * emitted (finishing a one-token request). Any other failure fails

@@ -103,15 +103,6 @@ struct RequestResult
 
     /** Submit -> completion. */
     double total_ms = 0.0;
-
-    /**
-     * Largest gap between consecutive generated tokens (ms) — the
-     * stall a whole-prompt prefill of a co-scheduled request injects
-     * into this request's token stream, and the figure chunked
-     * prefill (SchedulerConfig::prefill_chunk_tokens) bounds. 0 for
-     * requests that generated fewer than two tokens.
-     */
-    double token_max_gap_ms = 0.0;
 };
 
 } // namespace serve

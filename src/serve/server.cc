@@ -9,6 +9,13 @@
 namespace lt {
 namespace serve {
 
+namespace {
+
+/** Idle poll period of the serving thread. */
+constexpr std::chrono::milliseconds kIdlePoll{1};
+
+} // namespace
+
 Server::Server(const nn::TransformerClassifier &model,
                nn::GemmBackend &backend, ServerConfig cfg)
     : model_(model), backend_(backend), cfg_(cfg),
@@ -183,13 +190,13 @@ Server::serveLoop()
             // Back off so a persistent fault cannot spin the loop.
             obs::traceInstant("serve/tick_exception",
                               obs::kNoRequest);
-            std::this_thread::sleep_for(cfg_.idle_poll);
+            std::this_thread::sleep_for(kIdlePoll);
             active = scheduler_.activeRequests();
         }
         if (active == 0 && queue_.empty()) {
             if (drain_requested_.load())
                 break;
-            queue_.waitForWork(cfg_.idle_poll);
+            queue_.waitForWork(kIdlePoll);
         }
     }
 }

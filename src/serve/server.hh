@@ -52,9 +52,6 @@ struct ServerConfig
     /** Operand quantization applied to every request's session. */
     nn::QuantConfig quant = nn::QuantConfig::disabled();
 
-    /** Idle poll period of the serving thread. */
-    std::chrono::milliseconds idle_poll{1};
-
     /**
      * Paged KV-cache memory (serve/kv_pool). Disabled by default
      * (num_blocks = 0): every session reserves its own max_tokens of

@@ -6,7 +6,9 @@
  * queueing (FIFO, no starvation) and submit-time rejection of
  * never-fits requests — plus the serving contracts on top: paged
  * serving without sharing matches the dense-reserve server bitwise,
- * and shared-prefix requests are bit-identical to each run solo.
+ * shared-prefix requests are bit-identical to each run solo, and one
+ * fixed block budget holds shared prefixes in fewer, exactly counted
+ * blocks than independent prompts.
  */
 
 #include <gtest/gtest.h>
@@ -452,6 +454,108 @@ TEST(KvPool, SharedPrefixRequestsBitIdenticalToEachRunSolo)
         for (size_t s = 0; s < result.step_logits.size(); ++s)
             EXPECT_EQ(result.step_logits[s].maxAbsDiff(
                           solo_result.step_logits[s]),
+                      0.0)
+                << "request " << id << " step " << s;
+    }
+}
+
+TEST(KvPool, FixedBudgetSharedPrefixBeatsIndependentPromptsExactly)
+{
+    // One block budget and concurrency, served twice: independent
+    // prompts, then prompts that share a system-prompt prefix. Sharing
+    // must use fewer blocks (one copy-on-write prefix, N-1 hits);
+    // resident K/V bytes must stay under the dense model's
+    // max_tokens x concurrency reserve and equal exactly the blocks
+    // the cached tokens fill; and every shared-prefix request must be
+    // bit-identical to itself served solo.
+    nn::TransformerClassifier model(lmConfig(/*max_tokens=*/64));
+    const nn::TransformerConfig &mcfg = model.config();
+    const nn::QuantConfig quant = nn::QuantConfig::w8a8();
+    const size_t vocab = mcfg.vocab_size;
+    const size_t kBlockTokens = 8, kBlocks = 64, kRequests = 8;
+    const size_t kPrompt = 8, kPrefix = 6, kNew = 12;
+    const std::vector<int> system_prompt =
+        promptFor(0xF00D, kPrefix, vocab);
+
+    auto makeRequest = [&](uint64_t id, bool shared) {
+        serve::Request req;
+        if (shared) {
+            req.prompt = promptWithPrefix(system_prompt, id,
+                                          kPrompt - kPrefix, vocab);
+            req.shared_prefix_tokens = kPrefix;
+        } else {
+            req.prompt = promptFor(id, kPrompt, vocab);
+        }
+        req.max_new_tokens = kNew;
+        req.record_logits = shared; // only the shared run verifies
+        req.request_id = id;
+        return req;
+    };
+    auto serveAll = [&](size_t max_batch,
+                        const std::vector<serve::Request> &reqs,
+                        std::vector<serve::RequestResult> &results) {
+        nn::ExecutionEngine engine(noisyDptc(), core::EvalMode::Noisy);
+        serve::ServerConfig scfg;
+        scfg.scheduler.max_batch = max_batch;
+        scfg.quant = quant;
+        scfg.kv_pool = poolCfg(kBlockTokens, kBlocks);
+        serve::Server server(model, engine, scfg);
+        std::vector<std::future<serve::RequestResult>> futures;
+        for (const serve::Request &req : reqs)
+            futures.push_back(server.submit(req));
+        server.runUntilIdle();
+        for (auto &f : futures)
+            results.push_back(f.get());
+        return server.metrics().kv_pool;
+    };
+
+    std::vector<serve::Request> indep_reqs, shared_reqs;
+    for (uint64_t id = 0; id < kRequests; ++id) {
+        indep_reqs.push_back(makeRequest(id, false));
+        shared_reqs.push_back(makeRequest(id, true));
+    }
+    std::vector<serve::RequestResult> indep_results, shared_results;
+    const serve::KvPoolStats ip =
+        serveAll(kRequests, indep_reqs, indep_results);
+    const serve::KvPoolStats sp =
+        serveAll(kRequests, shared_reqs, shared_results);
+
+    EXPECT_LT(sp.peak_used_blocks, ip.peak_used_blocks);
+    EXPECT_EQ(sp.prefix_misses, 1u);
+    EXPECT_EQ(sp.prefix_hits, kRequests - 1);
+
+    const size_t bytes_per_token_layer = 2 * mcfg.dim * sizeof(double);
+    const size_t dense_reserve_bytes = kRequests * mcfg.max_tokens *
+                                       mcfg.depth * bytes_per_token_layer;
+    EXPECT_LT(ip.peak_resident_bytes, dense_reserve_bytes);
+    EXPECT_LT(sp.peak_resident_bytes, dense_reserve_bytes);
+
+    auto cdiv = [](size_t a, size_t b) { return (a + b - 1) / b; };
+    const size_t shared_prefix_blocks =
+        mcfg.depth * cdiv(kPrefix, kBlockTokens);
+    EXPECT_EQ(ip.peak_resident_bytes,
+              kRequests * mcfg.depth *
+                  cdiv(kPrompt + kNew - 1, kBlockTokens) *
+                  ip.block_bytes);
+    EXPECT_EQ(sp.peak_resident_bytes,
+              (shared_prefix_blocks +
+               kRequests * mcfg.depth *
+                   cdiv(kPrompt - kPrefix + kNew - 1, kBlockTokens)) *
+                  sp.block_bytes);
+
+    ASSERT_EQ(shared_results.size(), kRequests);
+    for (uint64_t id = 0; id < kRequests; ++id) {
+        std::vector<serve::RequestResult> solo;
+        serveAll(1, {shared_reqs[id]}, solo);
+        ASSERT_EQ(solo.size(), 1u);
+        const serve::RequestResult &batched = shared_results[id];
+        EXPECT_EQ(batched.generated, solo[0].generated)
+            << "request " << id;
+        ASSERT_EQ(batched.step_logits.size(),
+                  solo[0].step_logits.size());
+        for (size_t s = 0; s < batched.step_logits.size(); ++s)
+            EXPECT_EQ(batched.step_logits[s].maxAbsDiff(
+                          solo[0].step_logits[s]),
                       0.0)
                 << "request " << id << " step " << s;
     }

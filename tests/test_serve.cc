@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <map>
@@ -310,7 +311,7 @@ TEST(Serve, StaggeredArrivalsJoinTheRunningBatchBitIdentically)
 TEST(Serve, FusedDecodeStepDispatchesOLayersBatches)
 {
     // The engine must see the same number of fused dispatches per
-    // decode step whether 1, 2 or 12 requests ride in it — and a solo
+    // decode step whether 1 or 16 requests ride in it — and a solo
     // InferenceSession::decodeStep is that step over a batch of one:
     // per layer one stacked-row dispatch per projection (wq, wk, wv,
     // wo, fc1, fc2) plus the LM head = 6 * depth + 1 stacked calls,
@@ -322,7 +323,7 @@ TEST(Serve, FusedDecodeStepDispatchesOLayersBatches)
     const size_t expected_stacked = 6 * model.config().depth + 1;
     const size_t expected_batches = 2 * model.config().depth;
 
-    for (size_t n : {1u, 2u, 12u}) {
+    for (size_t n : {1u, 2u, 4u, 8u, 12u, 16u}) {
         std::vector<std::unique_ptr<nn::InferenceSession>> sessions;
         std::vector<nn::InferenceSession *> ptrs;
         std::vector<int> feed;
@@ -899,6 +900,87 @@ TEST(Serve, EngineFaultSoakEveryFutureResolvesBitIdentically)
     EXPECT_EQ(clean_engine.status().faults_detected, 0u);
 }
 
+TEST(Serve, DeadAndStuckReplicasRecoverWithoutFailingOrDegrading)
+{
+    // The fault smoke: a burst served inline on a 4-replica engine
+    // whose replica 1 is a dead shard and replica 2 has a DAC channel
+    // stuck near zero. Every future resolves, the checksum layer
+    // detects the faults and quarantines at least one replica without
+    // degrading the engine, no request fails, and the recovered
+    // output is bit-identical to a fault-free run. The fault count
+    // itself is not pinned: a retried tile picks its replica from a
+    // healthy set that concurrent tiles may be quarantining, so the
+    // count can differ between runs.
+    nn::TransformerClassifier model(lmConfig());
+    const size_t kRequests = 6, kPrompt = 8, kNew = 12;
+
+    struct Served
+    {
+        std::vector<serve::RequestResult> results;
+        serve::MetricsSnapshot metrics;
+    };
+    auto serveBurst = [&](nn::ExecutionEngine &engine) {
+        serve::ServerConfig scfg;
+        scfg.scheduler.max_batch = kRequests;
+        scfg.quant = nn::QuantConfig::w8a8();
+        serve::Server server(model, engine, scfg);
+        std::vector<std::future<serve::RequestResult>> futures;
+        for (uint64_t id = 0; id < kRequests; ++id) {
+            serve::Request req;
+            req.prompt =
+                promptFor(id, kPrompt, model.config().vocab_size);
+            req.max_new_tokens = kNew;
+            req.record_logits = true;
+            req.request_id = id;
+            futures.push_back(server.submit(std::move(req)));
+        }
+        server.runUntilIdle();
+        Served served;
+        for (auto &f : futures) {
+            EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready);
+            EXPECT_NO_THROW(served.results.push_back(f.get()));
+        }
+        served.metrics = server.metrics();
+        return served;
+    };
+
+    nn::EngineConfig fcfg;
+    fcfg.dptc = noisyDptc();
+    fcfg.num_cores = 4;
+    fcfg.faults.enabled = true;
+    fcfg.faults.replicas.resize(3);
+    fcfg.faults.replicas[1].dead = true;
+    fcfg.faults.replicas[2].stuck_channel = 2; // near-zero stuck value
+    nn::ExecutionEngine faulty(fcfg);
+    const Served got = serveBurst(faulty);
+    const nn::EngineStatus status = faulty.status();
+
+    nn::EngineConfig ccfg = fcfg;
+    ccfg.faults = core::FaultConfig{};
+    nn::ExecutionEngine clean(ccfg);
+    const Served want = serveBurst(clean);
+
+    EXPECT_GE(status.quarantines, 1u);
+    EXPECT_GT(status.faults_detected, 0u);
+    EXPECT_FALSE(status.degraded);
+    EXPECT_EQ(got.metrics.request_failures, 0u);
+    ASSERT_EQ(got.results.size(), kRequests);
+    ASSERT_EQ(want.results.size(), kRequests);
+    for (size_t i = 0; i < kRequests; ++i) {
+        EXPECT_FALSE(got.results[i].expired) << "req " << i;
+        EXPECT_EQ(got.results[i].generated, want.results[i].generated)
+            << "req " << i;
+        ASSERT_EQ(got.results[i].step_logits.size(),
+                  want.results[i].step_logits.size());
+        for (size_t s = 0; s < want.results[i].step_logits.size(); ++s)
+            EXPECT_EQ(got.results[i].step_logits[s].maxAbsDiff(
+                          want.results[i].step_logits[s]),
+                      0.0)
+                << "req " << i << " step " << s;
+    }
+}
+
 TEST(Serve, PersistentEngineFailureFailsRequestsNotTheServer)
 {
     // Every replica dead and quarantine out of reach: prefill faults
@@ -941,7 +1023,8 @@ TEST(Serve, PersistentEngineFailureFailsRequestsNotTheServer)
     EXPECT_EQ(snap.request_failures, kRequests);
     EXPECT_EQ(snap.completed, 0u);
     // The scheduler burned its bounded retries before giving up:
-    // max_step_retries (2) rebuild-and-reprefill attempts apiece.
+    // BatchScheduler::kMaxStepRetries (2) rebuild-and-reprefill
+    // attempts apiece.
     EXPECT_EQ(snap.engine_step_retries, 2 * kRequests);
     EXPECT_GT(snap.engine_faults_detected, 0u);
     // Failure released every admission: the pool is whole again.
