@@ -42,8 +42,8 @@
  *
  * Gaussian-draw row ("rng"): ns/draw of per-call, bulk and Fast
  * sampling, plus the engine's real draw shape under encoding noise
- * (a fresh tile Rng, then per dot one fillGaussianScaled over 3n
- * stddevs and one systematic draw) on the draw kernels cpuid picked
+ * (a fresh tile Rng, then per k-slice one fillGaussianScaled over the
+ * pass's dots, 3n + 1 stddevs each) on the draw kernels cpuid picked
  * and on the baseline ones. Both must hash equal to the same pattern
  * drawn by per-call gaussian(), or --csv/--json exit nonzero.
  *
@@ -177,25 +177,29 @@ struct DotPatternRun
     double seconds;
 };
 
+/** Dots per (tile, k-slice) pass of a stacked decode row: 1 x nv. */
+constexpr size_t kPatternDots = 12;
+/** Its k-slice depths: a 32-deep product on 12 wavelengths. */
+constexpr size_t kPatternDepths[3] = {12, 12, 8};
+
 /**
- * The draw shape of the encoding-noise DPTC path (DDot's packed dot
- * plus Dptc::packedSlice): a fresh Rng(deriveSeed(stream, tile)) per
- * output tile, then per dot one fillGaussianScaled over 3n stddevs
- * (x magnitude, y magnitude, phase per wavelength; zero operands leave
- * zero-std holes) and one scalar systematic draw. Depths cycle
- * 12, 12, 8: the k-slices of a 32-deep product on 12 wavelengths.
- * With `per_call`, every element is drawn by its own gaussian() call,
- * the reference the bulk path must reproduce bit for bit.
+ * The draw shape of the encoding-noise DPTC path (Dptc::packedSlice):
+ * a fresh Rng(deriveSeed(stream, tile)) per output tile, then per
+ * k-slice ONE fillGaussianScaled over the row's stddevs, which hold
+ * per dot 3n encoding stds (x magnitude, y magnitude, phase per
+ * wavelength; zero operands leave zero-std holes) and then the dot's
+ * systematic std. A tile is one stacked decode row: kPatternDots dots
+ * per pass, k-slices of depth 12, 12, 8. `stds` holds the three
+ * passes' arrays back to back. With `per_call`, every element is
+ * drawn by its own gaussian() call, the reference the bulk path must
+ * reproduce bit for bit.
  */
 DotPatternRun
 runDotPattern(const detail::RngKernels &kernels,
               const std::vector<double> &stds, bool per_call)
 {
-    constexpr size_t kTiles = 256;
-    constexpr size_t kDotsPerTile = 96;
-    constexpr size_t kDepths[3] = {12, 12, 8};
-    constexpr double kSystematicStd = 0.02;
-    double out[36];
+    constexpr size_t kTiles = 512;
+    std::vector<double> out(stds.size());
     DotPatternRun run{0xcbf29ce484222325ULL, 0, 0.0};
     auto mix = [&run](double v) {
         uint64_t bits;
@@ -205,21 +209,23 @@ runDotPattern(const detail::RngKernels &kernels,
     run.seconds = secondsOf([&] {
         for (size_t t = 0; t < kTiles; ++t) {
             Rng rng(deriveSeed(0xD07, t), kernels);
-            for (size_t d = 0; d < kDotsPerTile; ++d) {
-                const size_t n = 3 * kDepths[d % 3];
-                const double *sd = stds.data() + 36 * d;
+            size_t base = 0;
+            for (size_t depth : kPatternDepths) {
+                const size_t n = kPatternDots * (3 * depth + 1);
+                double *o = out.data() + base;
+                const double *sd = stds.data() + base;
                 if (per_call) {
                     for (size_t i = 0; i < n; ++i)
-                        out[i] = rng.gaussian(0.0, sd[i]);
+                        o[i] = rng.gaussian(0.0, sd[i]);
                 } else {
-                    rng.fillGaussianScaled(std::span<double>(out, n),
+                    rng.fillGaussianScaled(std::span<double>(o, n),
                                            std::span<const double>(sd, n),
                                            0.0);
                 }
-                for (size_t i = 0; i < n; ++i)
-                    mix(out[i]);
-                mix(rng.gaussian(0.0, kSystematicStd));
+                base += n;
             }
+            for (double v : out)
+                mix(v);
             run.draws += rng.drawCount();
         }
     });
@@ -265,14 +271,22 @@ runRngMicrobench()
     if (sink == 0.12345) // defeat dead-code elimination of the loops
         std::cerr << "";
 
-    // Per-dot stddevs as DDot hoists them: 0.04 x |operand| with
-    // quantized operands (one in eight is zero), then the phase std.
-    std::vector<double> stds(96 * 36);
+    // Each pass's stddevs as Dptc::packedSlice builds them: per dot,
+    // 0.04 x |operand| magnitude stds with quantized operands (one in
+    // eight is zero), the phase std, then the systematic std.
+    std::vector<double> stds;
     Rng sgen(0x57D);
-    for (size_t i = 0; i < stds.size(); ++i)
-        stds[i] = i % 3 == 2 ? 0.01
-                             : 0.04 * static_cast<double>(
-                                          sgen.uniformInt(0, 7)) / 7.0;
+    for (size_t depth : kPatternDepths)
+        for (size_t d = 0; d < kPatternDots; ++d) {
+            for (size_t i = 0; i < 3 * depth; ++i)
+                stds.push_back(i % 3 == 2
+                                   ? 0.01
+                                   : 0.04 *
+                                         static_cast<double>(
+                                             sgen.uniformInt(0, 7)) /
+                                         7.0);
+            stds.push_back(0.02);
+        }
     const auto variants = detail::rngKernelVariants();
     const detail::RngKernels &selected = variants.back();
     const detail::RngKernels &baseline = variants.front();
@@ -959,9 +973,9 @@ main(int argc, char **argv)
     rtable.addRow({"dot pattern, baseline kernels",
                    units::fmtFixed(rngb.dot_baseline_ns, 1)});
     rtable.print(std::cout);
-    std::cout << "\nDot pattern: a fresh tile Rng, then per dot one "
-                 "fillGaussianScaled over 3n\nstddevs (n = 12, 12, 8) "
-                 "and one systematic draw; both variants bit-identical "
+    std::cout << "\nDot pattern: a fresh tile Rng, then per k-slice "
+                 "one fillGaussianScaled over\n12 dots x (3n + 1) "
+                 "stddevs (n = 12, 12, 8); both variants bit-identical "
                  "to\nper-call gaussian(): "
               << (rngb.dot_identical ? "yes" : "NO") << ".\n";
     std::cout << "\nDecode perf gates (enforced in --csv/--json): "

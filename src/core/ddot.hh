@@ -31,43 +31,41 @@
 #include "photonics/coupler.hh"
 #include "photonics/phase_shifter.hh"
 #include "photonics/wavelength.hh"
-#include "util/fast_rng.hh"
-#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace lt {
 namespace core {
 
 /**
- * Caller-owned workspace of the packed noise pipeline: one allocation
- * per kernel shard (never per tile or dot product) backing the bulk
- * draw buffers of analyticNoisyDotPacked and the per-slice systematic
- * eps batch of the DPTC kernel. Layout over one vector:
+ * Caller-owned workspace of the packed tile kernel's noise: one
+ * allocation per kernel call (never per tile, k-slice or dot), sized
+ * by Dptc::sliceNoiseValues. For a capacity of v values:
  *
- *   [0, 3n)      per-element stddevs (x-mag, y-mag, phase interleaved)
- *   [3n, 6n)     the matching bulk draws
- *   [6n, 6n+e)   per-slice systematic eps draws (e = nh * nv)
+ *   [0, v)    under encoding noise, one row of a (tile, k-slice)
+ *             pass's stddevs in stream order: per dot (column) the 3n
+ *             encoding stds of DDot::encodingStds, then its systematic
+ *             std (0 when that term is off);
+ *   [v, 2v)   the matching draws, from one fillGaussianScaled;
+ *             without encoding noise, the pass's systematic eps, one
+ *             per output, from one fillGaussian.
  *
- * where n is the wavelength count. The phase-only path reuses the
- * stddev region as its dphi buffer (the two paths are exclusive).
+ * where n is the slice depth (<= the wavelength count).
  */
 struct NoiseScratch
 {
     void
-    ensure(size_t nlambda, size_t eps_capacity)
+    ensure(size_t values)
     {
-        nlambda_ = nlambda;
-        buf_.resize(6 * nlambda + eps_capacity);
+        capacity_ = values;
+        buf_.resize(2 * values);
     }
 
     double *stds() { return buf_.data(); }
-    double *draws() { return buf_.data() + 3 * nlambda_; }
-    double *dphi() { return buf_.data(); }
-    double *eps() { return buf_.data() + 6 * nlambda_; }
+    double *draws() { return buf_.data() + capacity_; }
 
   private:
     std::vector<double> buf_;
-    size_t nlambda_ = 0;
+    size_t capacity_ = 0;
 };
 
 /**
@@ -120,37 +118,32 @@ class DDot
                             std::span<const double> y, Rng &rng) const;
 
     /**
-     * The hot-loop form of analyticNoisyDot(): identical arithmetic
-     * and RNG draw order (bit-identical results for RngT = Rng),
-     * restructured for the packed tile kernel — per-channel
-     * coefficients come from flat precomputed arrays instead of the
-     * struct vector, the noiseless per-channel gain is hoisted when
-     * encoding noise is off, and every stochastic path draws in bulk:
-     * phase-only dots batch through fillGaussian, and the full
-     * encoding-noise path hoists the |x[i]|-scaled magnitude stddevs
-     * into array form and takes ONE fillGaussianScaled call for the
-     * whole dot product (x-mag, y-mag, phase interleaved in
-     * drawEncoding order) instead of 3 scalar draws per MAC.
-     * `scratch` must have been ensure()d for >= n wavelengths.
-     *
-     * Instantiated for Rng (bit-exact) and FastRng (the Fast sampler
-     * of NoiseSampler — same draw order, different stream).
+     * The encoding-noise stddevs of one dot into stds[0, 3n), in the
+     * order analyticNoisyDot draws them: x magnitude, y magnitude and
+     * phase drift per wavelength. A zero operand gives a zero std,
+     * which draws nothing.
      */
-    template <typename RngT>
-    double analyticNoisyDotPacked(const double *x, const double *y,
-                                  size_t n, RngT &rng,
-                                  NoiseScratch &scratch) const;
+    void encodingStds(const double *x, const double *y, size_t n,
+                      double *stds) const;
 
     /**
-     * Two encoding-noise-free packed dots sharing one x row. Each
-     * accumulator follows exactly the arithmetic and association
-     * order of analyticNoisyDotPacked's noiseless branch, so each
-     * result is bit-identical to the corresponding single call — the
-     * pairing only interleaves the two independent accumulation
-     * chains so they pipeline instead of serializing on FP-add
-     * latency. Callers must only use this when
-     * noise.enable_encoding_noise is false (the branch that takes no
-     * draws).
+     * analyticNoisyDot's arithmetic over encoding noise drawn ahead:
+     * draws[0, 3n) in encodingStds' layout, per-channel coefficients
+     * from flat arrays. Bit-identical to analyticNoisyDot when the
+     * draws are the ones it would take; the packed tile kernel draws
+     * a whole (tile, k-slice) pass in one fill and runs each dot
+     * through here.
+     */
+    double noisyDotFromDraws(const double *x, const double *y, size_t n,
+                             const double *draws) const;
+
+    /**
+     * Two encoding-noise-free packed dots sharing one x row, with
+     * the per-channel gain -sin(phase) hoisted (mult_noiseless_).
+     * Each accumulator is bit-identical to analyticNoisyDot with
+     * encoding noise off — the pairing only interleaves the two
+     * independent accumulation chains so they pipeline instead of
+     * serializing on FP-add latency. Pass y1 == y0 for a lone dot.
      */
     void noiselessDotPackedPair(const double *x, const double *y0,
                                 const double *y1, size_t n,
@@ -184,64 +177,26 @@ class DDot
 };
 
 // Defined in the header so the packed tile kernel's slice loop can
-// inline it: the call fires once per output element per k-slice, and a
+// inline them: they run once per output element per k-slice, and a
 // cross-TU call was a measurable fraction of decode time.
-template <typename RngT>
-inline double
-DDot::analyticNoisyDotPacked(const double *x, const double *y, size_t n,
-                             RngT &rng, NoiseScratch &scratch) const
+inline void
+DDot::encodingStds(const double *x, const double *y, size_t n,
+                   double *stds) const
 {
-    if (n > channels_.size())
-        lt_panic("analyticNoisyDotPacked: vector length exceeds "
-                 "wavelengths");
-
-    double io = 0.0;
-    if (!noise_.enable_encoding_noise) {
-        // No draws at all: the whole per-channel gain is static and
-        // was hoisted into mult_noiseless_ at construction.
-        for (size_t i = 0; i < n; ++i) {
-            double add = add_coef_[i] * (x[i] * x[i] - y[i] * y[i]) /
-                         2.0;
-            io += mult_noiseless_[i] * x[i] * y[i] + add;
-        }
-        return io;
-    }
-
     const double mag = noise_.magnitude_noise_std;
     const double phase_std = noise_.phaseNoiseStdRad();
-    if (mag == 0.0) {
-        // Magnitude draws have zero std, so they return the mean
-        // without consuming engine state: the engine sequence is
-        // exactly n constant-std phase draws — one bulk fill.
-        double *dphi = scratch.dphi();
-        rng.fillGaussian(std::span<double>(dphi, n), 0.0, phase_std);
-        for (size_t i = 0; i < n; ++i) {
-            double xh = x[i] + 0.0; // the zero magnitude draw
-            double yh = y[i] + 0.0;
-            double phi = phase_base_[i] + dphi[i];
-            double mult = mult_base_[i] * (-std::sin(phi));
-            double add = add_coef_[i] * (xh * xh - yh * yh) / 2.0;
-            io += mult * xh * yh + add;
-        }
-        return io;
-    }
-
-    // Full encoding noise: hoist the |value|-scaled stddevs into array
-    // form — interleaved exactly in drawEncoding()'s draw order
-    // (x magnitude, y magnitude, phase drift per element) — and take
-    // ONE bulk scaled fill for the whole dot product. Zero-magnitude
-    // elements keep the no-consume rule inside fillGaussianScaled, so
-    // the engine sequence matches the 3-scalar-draws-per-MAC loop
-    // bit-for-bit.
-    double *stds = scratch.stds();
-    double *draws = scratch.draws();
     for (size_t i = 0; i < n; ++i) {
         stds[3 * i] = mag * std::abs(x[i]);
         stds[3 * i + 1] = mag * std::abs(y[i]);
         stds[3 * i + 2] = phase_std;
     }
-    rng.fillGaussianScaled(std::span<double>(draws, 3 * n),
-                           std::span<const double>(stds, 3 * n), 0.0);
+}
+
+inline double
+DDot::noisyDotFromDraws(const double *x, const double *y, size_t n,
+                        const double *draws) const
+{
+    double io = 0.0;
     for (size_t i = 0; i < n; ++i) {
         double xh = x[i] + draws[3 * i];
         double yh = y[i] + draws[3 * i + 1];

@@ -6,6 +6,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/fast_rng.hh"
 #include "util/logging.hh"
 #include "util/quantize.hh"
 
@@ -184,7 +185,7 @@ Dptc::multiply(const Matrix &a, const Matrix &b, EvalMode mode)
     EncodedOperand eb = encode(b, OperandSide::B, mode);
     Matrix out(a.rows(), b.cols(), 0.0);
     NoiseScratch scratch;
-    scratch.ensure(cfg_.nlambda, cfg_.nh * cfg_.nv);
+    scratch.ensure(sliceNoiseValues());
     packedSlice(ea, eb, 0, cfg_.nh, 0, 0, mode,
                 ea.beta() * eb.beta(), rng_, out, scratch);
     return out;
@@ -233,87 +234,104 @@ Dptc::packedSlice(const EncodedOperand &a, const EncodedOperand &b,
     const size_t rows = std::min(max_rows, a.rows() - r0);
     const size_t cols = std::min(cfg_.nv, b.cols() - c0);
     const size_t depth = std::min(cfg_.nlambda, a.cols() - k0);
+    const NoiseConfig &noise = cfg_.noise;
 
-    const bool calibrated = cfg_.channel_calibration;
-    const bool systematic = cfg_.noise.enable_systematic_noise;
-    const double sys_std = cfg_.noise.systematic_output_std;
-
-    if (mode == EvalMode::Noisy && systematic && !calibrated &&
-        !cfg_.noise.enable_encoding_noise) {
-        // The slice's ONLY stochastic term is the per-output
-        // systematic eps: the stream sequence is exactly rows*cols
-        // consecutive constant-std draws in (r, c) order, so batch
-        // them through one bulk fill (sequence-exact) instead of a
-        // scalar draw per output — the dominant-draw path of the
-        // decode serving regime (encoding noise off).
-        double *eps = scratch.eps();
-        rng.fillGaussian(std::span<double>(eps, rows * cols), 0.0,
-                         sys_std);
-        size_t idx = 0;
+    if (mode != EvalMode::Noisy) {
         for (size_t r = 0; r < rows; ++r) {
             const double *x = a.row(r0 + r) + k0;
-            size_t c = 0;
-            // Column pairs: the dots take no draws here (encoding
-            // noise is off), so two independent accumulation chains
-            // can pipeline; each result is bit-identical to the
-            // single-dot call.
-            for (; c + 1 < cols; c += 2) {
-                const double *y0 = b.tileColumn(tc, tk, c);
-                const double *y1 = b.tileColumn(tc, tk, c + 1);
+            for (size_t c = 0; c < cols; ++c)
+                out(r0 + r, c0 + c) +=
+                    DDot::idealDot(
+                        std::span<const double>(x, depth),
+                        std::span<const double>(b.tileColumn(tc, tk, c),
+                                                depth)) *
+                    scale;
+        }
+        return;
+    }
+
+    if (cfg_.channel_calibration) {
+        // Calibration probes draw from the historical stream; the
+        // calibrated dot draws per element and is BitExact-only.
+        if constexpr (std::is_same_v<RngT, Rng>) {
+            for (size_t r = 0; r < rows; ++r) {
+                const double *x = a.row(r0 + r) + k0;
+                for (size_t c = 0; c < cols; ++c) {
+                    double io = calibratedNoisyDot(
+                        ddot_, calibration_,
+                        std::span<const double>(x, depth),
+                        std::span<const double>(b.tileColumn(tc, tk, c),
+                                                depth),
+                        rng);
+                    if (noise.enable_systematic_noise)
+                        io *= (1.0 + rng.gaussian(
+                                         0.0, noise.systematic_output_std));
+                    out(r0 + r, c0 + c) += io * scale;
+                }
+            }
+        } else {
+            lt_fatal("packedSlice: channel calibration requires the "
+                     "BitExact sampler");
+        }
+        return;
+    }
+
+    // The stream takes, dot by dot in (row, column) order, the dot's
+    // 3n encoding draws and then its systematic eps. A zero std — a
+    // zero operand, or a term that is off — writes 0 and consumes
+    // nothing, so one bulk fill over consecutive dots' stds draws
+    // exactly the per-dot sequence, for either sampler; io * (1 + 0)
+    // is io.
+    const double sys_std = noise.enable_systematic_noise
+                               ? noise.systematic_output_std
+                               : 0.0;
+    double *draws = scratch.draws();
+    if (!noise.enable_encoding_noise) {
+        // Each dot's only draw is its eps: one constant-std fill for
+        // the pass, then column pairs run two accumulation chains
+        // side by side (an odd last column pairs with itself).
+        rng.fillGaussian(std::span<double>(draws, rows * cols), 0.0,
+                         sys_std);
+        for (size_t r = 0; r < rows; ++r) {
+            const double *x = a.row(r0 + r) + k0;
+            const double *eps = draws + r * cols;
+            for (size_t c = 0; c < cols; c += 2) {
+                const size_t c1 = std::min(c + 1, cols - 1);
                 double io0;
                 double io1;
-                ddot_.noiselessDotPackedPair(x, y0, y1, depth, io0,
-                                             io1);
-                io0 *= (1.0 + eps[idx]);
-                io1 *= (1.0 + eps[idx + 1]);
-                idx += 2;
-                out(r0 + r, c0 + c) += io0 * scale;
-                out(r0 + r, c0 + c + 1) += io1 * scale;
-            }
-            for (; c < cols; ++c) {
-                const double *y = b.tileColumn(tc, tk, c);
-                double io = ddot_.analyticNoisyDotPacked(x, y, depth,
-                                                         rng, scratch);
-                io *= (1.0 + eps[idx++]);
-                out(r0 + r, c0 + c) += io * scale;
+                ddot_.noiselessDotPackedPair(x, b.tileColumn(tc, tk, c),
+                                             b.tileColumn(tc, tk, c1),
+                                             depth, io0, io1);
+                out(r0 + r, c0 + c) += io0 * (1.0 + eps[c]) * scale;
+                if (c1 != c)
+                    out(r0 + r, c0 + c1) +=
+                        io1 * (1.0 + eps[c1]) * scale;
             }
         }
         return;
     }
 
+    // Encoding noise: one fillGaussianScaled per row of the pass over
+    // the row's dots (see NoiseScratch), then each dot's arithmetic
+    // over its draws. A row bounds the scratch to nv dots.
+    const size_t enc = 3 * depth;
+    const size_t stride = enc + 1;
+    double *stds = scratch.stds();
     for (size_t r = 0; r < rows; ++r) {
-        // Hoisted x gather: one contiguous slice of the A panel,
-        // shared by every column of this (tile, k-slice).
         const double *x = a.row(r0 + r) + k0;
         for (size_t c = 0; c < cols; ++c) {
-            const double *y = b.tileColumn(tc, tk, c);
-            double io;
-            if (mode == EvalMode::Noisy) {
-                if (calibrated) {
-                    // Calibration probes draw from the historical
-                    // stream; the calibrated dot is BitExact-only.
-                    if constexpr (std::is_same_v<RngT, Rng>) {
-                        io = calibratedNoisyDot(
-                            ddot_, calibration_,
-                            std::span<const double>(x, depth),
-                            std::span<const double>(y, depth), rng);
-                    } else {
-                        lt_fatal("packedSlice: channel calibration "
-                                 "requires the BitExact sampler");
-                    }
-                } else {
-                    io = ddot_.analyticNoisyDotPacked(x, y, depth, rng,
-                                                      scratch);
-                }
-                if (systematic) {
-                    double eps = rng.gaussian(0.0, sys_std);
-                    io *= (1.0 + eps);
-                }
-            } else {
-                io = DDot::idealDot(
-                    std::span<const double>(x, depth),
-                    std::span<const double>(y, depth));
-            }
+            double *s = stds + c * stride;
+            ddot_.encodingStds(x, b.tileColumn(tc, tk, c), depth, s);
+            s[enc] = sys_std;
+        }
+        rng.fillGaussianScaled(std::span<double>(draws, cols * stride),
+                               std::span<const double>(stds, cols * stride),
+                               0.0);
+        const double *d = draws;
+        for (size_t c = 0; c < cols; ++c, d += stride) {
+            double io = ddot_.noisyDotFromDraws(
+                x, b.tileColumn(tc, tk, c), depth, d);
+            io *= (1.0 + d[enc]);
             out(r0 + r, c0 + c) += io * scale;
         }
     }
@@ -337,11 +355,11 @@ Dptc::gemmTiles(const EncodedOperand &a, const EncodedOperand &b,
     const size_t tiles_c = cdiv(b.cols(), cfg_.nv);
     const size_t tiles_k = cdiv(a.cols(), cfg_.nlambda);
 
-    // Per-shard workspace: the bulk noise-draw buffers, allocated once
-    // per call (one call per shard under the ExecutionEngine) — the
-    // hot loop itself never allocates.
+    // Per-shard workspace: the pass's noise stddevs and draws,
+    // allocated once per call (one call per shard under the
+    // ExecutionEngine) — the hot loop itself never allocates.
     NoiseScratch scratch;
-    scratch.ensure(cfg_.nlambda, cfg_.nh * cfg_.nv);
+    scratch.ensure(sliceNoiseValues());
     uint64_t draws = 0;
 
     const bool fast = mode == EvalMode::Noisy &&
@@ -442,7 +460,7 @@ Dptc::gemmRowStackedTiles(const EncodedOperand &a, size_t row,
     const size_t tiles_k = cdiv(a.cols(), cfg_.nlambda);
 
     NoiseScratch scratch;
-    scratch.ensure(cfg_.nlambda, cfg_.nh * cfg_.nv);
+    scratch.ensure(sliceNoiseValues());
     uint64_t draws = 0;
 
     const bool fast = mode == EvalMode::Noisy &&

@@ -138,10 +138,11 @@ class Dptc
      * contiguous pointer, every B-tile column is a contiguous packed
      * run (packed once at encode time instead of re-gathered Nh times
      * per tile), per-channel noise coefficients come from flat
-     * arrays, and the only scratch (the bulk phase-draw buffer) is a
-     * per-call workspace hoisted out of the hot loop — no allocations
-     * per tile or k-slice. Thread-safe for disjoint tile ranges; this
-     * is the unit the ExecutionEngine shards across core replicas.
+     * arrays, and the only scratch (one pass's noise stddevs and
+     * draws, NoiseScratch) is a per-call workspace sized to the call's
+     * row count and hoisted out of the hot loop — no allocations per
+     * tile or k-slice. Thread-safe for disjoint tile ranges; this is
+     * the unit the ExecutionEngine shards across core replicas.
      *
      * `scale` is normally a.beta() * b.beta(); operands must have
      * been encoded for this core's geometry and mode (fatal
@@ -149,13 +150,13 @@ class Dptc
      *
      * Noise draws follow cfg_.noise.sampler: BitExact replays the
      * historical std:: stream bit-for-bit through the blocked Rng
-     * pipeline (per-slice systematic eps draws and per-dot encoding
-     * draws batch through bulk fills, sequence-exact); Fast runs the
-     * Ziggurat sampler seeded by the SAME deriveSeed(stream, tile)
-     * scheme — still thread-count-invariant and deterministic, not
-     * stream-compatible. When `gaussian_draws` is non-null the
-     * Gaussian draws this call takes are added to it (the engine
-     * folds shard counts into GemmStats::gaussian_draws).
+     * pipeline (each row of a (tile, k-slice) pass draws all its
+     * encoding and systematic noise in one bulk fill, sequence-exact);
+     * Fast runs the Ziggurat sampler seeded by the SAME
+     * deriveSeed(stream, tile) scheme — still thread-count-invariant
+     * and deterministic, not stream-compatible. When `gaussian_draws`
+     * is non-null the Gaussian draws this call takes are added to it
+     * (the engine folds shard counts into GemmStats::gaussian_draws).
      */
     void gemmTiles(const EncodedOperand &a, const EncodedOperand &b,
                    EvalMode mode, double scale, size_t tile_begin,
@@ -263,25 +264,40 @@ class Dptc
                             Matrix &out) const;
 
     /**
-     * One (output tile, k-slice) of the packed kernel: rows/cols
+     * One (output tile, k-slice) pass of the packed kernel: rows/cols
      * bounded by the operand edges, x and y read as contiguous
-     * pointers into the encoded layouts. `scratch` is the caller's
-     * per-shard noise workspace (ensure()d for nlambda wavelengths
-     * and nh*nv eps draws). RNG draw order matches
-     * multiplyNormalized exactly for RngT = Rng: when the slice's
-     * only stochastic term is the systematic output noise, its
-     * rows*cols eps draws batch through one bulk fill (the draws are
-     * consecutive in the stream, so this is sequence-exact).
-     * Instantiated for Rng and FastRng; the channel-calibrated path
-     * is BitExact-only. `max_rows` caps the row-tile height (cfg_.nh
-     * for full tiles; 1 for the stacked-row kernel, whose operand
-     * holds other requests' rows below r0).
+     * pointers into the encoded layouts. Every uncalibrated noisy
+     * configuration draws in bulk: under encoding noise, ONE
+     * fillGaussianScaled per row of the pass over the stddevs of the
+     * row's dots in stream order (per dot, 3n encoding stds, then the
+     * systematic std; see NoiseScratch), and the dot arithmetic then
+     * runs over the draws; without it, one constant-std fill of the
+     * pass's systematic eps, and the dots run in column pairs with the
+     * -sin(phase) gain hoisted. Zero stds consume nothing, so the draw
+     * sequence is exactly multiplyNormalized's for RngT = Rng, and the
+     * per-dot one for FastRng. Channel-calibrated dots draw per
+     * element (BitExact only). `scratch` must hold sliceNoiseValues()
+     * values. `max_rows` caps the row-tile height (cfg_.nh for full
+     * tiles; 1 for the stacked-row kernel, whose operand holds other
+     * requests' rows below r0).
      */
     template <typename RngT>
     void packedSlice(const EncodedOperand &a, const EncodedOperand &b,
                      size_t r0, size_t max_rows, size_t tc, size_t tk,
                      EvalMode mode, double scale, RngT &rng,
                      Matrix &out, NoiseScratch &scratch) const;
+
+    /**
+     * NoiseScratch values a packedSlice pass needs: one row of nv dots
+     * under encoding noise, else one eps per output of the tile.
+     */
+    size_t
+    sliceNoiseValues() const
+    {
+        return cfg_.nv * (cfg_.noise.enable_encoding_noise
+                              ? 3 * cfg_.nlambda + 1
+                              : cfg_.nh);
+    }
 
     DptcConfig cfg_;
     DDot ddot_;

@@ -12,8 +12,9 @@
  * semantics per draw — so that every existing noise stream is
  * preserved BIT-EXACTLY. The class keeps the control flow (block
  * position, chunking, zero-std compaction); the arithmetic runs in
- * three kernels in util/rng_kernels.cc — the mt19937-64 refill, the
- * polar candidate pass and the sqrt/divide half of the transform —
+ * kernels in util/rng_kernels.cc — the mt19937-64 refill, the polar
+ * candidate pass, the sqrt/divide half of the transform, and both of
+ * the latter fused for gaussian()'s single draw (one call per draw) —
  * compiled as baseline, AVX2 and AVX-512 variants and picked once per
  * process from cpuid (no setting selects them). That file is compiled
  * with fp-contract=off, since a fused x*x + y*y changes the sequence.
@@ -87,9 +88,12 @@ struct RngKernels
     /**
      * Polar candidate pass over the word pairs (u[2p], u[2p+1]),
      * p < pairs, in order: stores the accepted (y, r^2) pairs to
-     * ys/r2s, stopping at the pair that yields the want-th accept.
-     * Sets *accepted (<= want) and returns the pairs consumed. ys and
-     * r2s must hold `want` elements.
+     * ys[0, *accepted) and r2s[0, *accepted), stopping at the pair
+     * that yields the want-th accept. Sets *accepted (<= want) and
+     * returns the pairs consumed. ys and r2s must hold `want`
+     * elements, and no variant writes at or past index `want` (the
+     * scalar-compaction variants may leave a rejected candidate just
+     * past the accepted ones; the AVX-512 one stores accepts only).
      */
     size_t (*polarPairs)(const uint64_t *u, size_t pairs, size_t want,
                          double *ys, double *r2s, size_t *accepted);
@@ -101,6 +105,15 @@ struct RngKernels
     void (*polarFinish)(const double *ys, const double *r2s,
                         const double *stds, size_t n, double mean,
                         double *out);
+
+    /**
+     * One draw in one call: polarPairs with want == 1 fused with
+     * polarFinish. Writes *out and sets *accepted to 1 when a pair
+     * among the `pairs` is accepted (else 0, *out untouched); returns
+     * the pairs consumed.
+     */
+    size_t (*polarOne)(const uint64_t *u, size_t pairs, double mean,
+                       double stddev, double *out, size_t *accepted);
 };
 
 /**
@@ -193,9 +206,14 @@ class Rng
     {
         if (stddev <= 0.0)
             return mean;
-        double y, r2, out;
-        drawPolar(&y, &r2, 1);
-        k_->polarFinish(&y, &r2, &stddev, 1, mean, &out);
+        double out = mean;
+        size_t accepted = 0;
+        while (accepted == 0)
+            candidatePass([&](const uint64_t *u, size_t pairs) {
+                return k_->polarOne(u, pairs, mean, stddev, &out,
+                                    &accepted);
+            });
+        ++draws_;
         return out;
     }
 
@@ -252,8 +270,9 @@ class Rng
      * value carries over between elements) and a non-positive stddev
      * writes `mean` without consuming engine state — so replacing a
      * loop of gaussian() calls with one fillGaussian() never changes
-     * a noise stream. The DPTC tile kernel uses it to batch the
-     * constant-std phase and systematic-output draws of a dot product.
+     * a noise stream. The DPTC tile kernel uses it for a (tile,
+     * k-slice) pass's systematic-output draws when encoding noise is
+     * off.
      */
     void
     fillGaussian(std::span<double> out, double mean = 0.0,
@@ -278,9 +297,10 @@ class Rng
      * fresh-distribution semantics as gaussian() — element i of a
      * scalar loop `out[i] = gaussian(mean, stddevs[i])` bit-for-bit,
      * including the rule that a non-positive stddevs[i] writes `mean`
-     * and consumes nothing. This is the form the full-encoding-noise
-     * DDot path batches its |x[i]|-scaled magnitude draws through
-     * (one call per dot product instead of 3 scalar draws per MAC).
+     * and consumes nothing. Under encoding noise the DPTC tile kernel
+     * draws each row of a (tile, k-slice) pass through one call: per
+     * dot, the |value|-scaled magnitude and phase stds, then the
+     * systematic std (Dptc::packedSlice).
      */
     void
     fillGaussianScaled(std::span<double> out,
@@ -349,37 +369,49 @@ class Rng
     }
 
     /**
+     * Hand the candidate pairs at the block position to
+     * `pass(u, pairs)`, which returns how many it consumed, and
+     * advance past them. The pairs are read straight from the
+     * tempered block; a single leftover word is paired with the first
+     * word of the next block (the pair straddles the refill).
+     */
+    template <typename Pass>
+    void
+    candidatePass(Pass &&pass)
+    {
+        if (pos_ == kN)
+            refill();
+        if (pos_ == kN - 1) {
+            uint64_t pair[2];
+            pair[0] = out_[kN - 1];
+            refill();
+            pair[1] = out_[0];
+            pos_ = 1;
+            pass(pair, size_t{1});
+        } else {
+            pos_ += 2 * pass(out_ + pos_, (kN - pos_) / 2);
+        }
+    }
+
+    /**
      * Produce `count` ACCEPTED polar pairs (y, r2) in draw-sequence
      * order, consuming engine outputs exactly as `count` scalar
-     * rejection loops of a fresh std::normal_distribution would. The
-     * candidate pass reads straight from the tempered block; the
-     * consumed position advances only past pairs actually inspected.
+     * rejection loops of a fresh std::normal_distribution would: the
+     * position advances only past pairs actually inspected.
      */
     void
     drawPolar(double *ys, double *r2s, size_t count)
     {
         size_t idx = 0;
-        while (idx < count) {
-            if (pos_ == kN)
-                refill();
-            size_t accepted;
-            if (pos_ == kN - 1) {
-                // One leftover word: the candidate pair straddles a
-                // block boundary.
-                uint64_t pair[2];
-                pair[0] = out_[kN - 1];
-                refill();
-                pair[1] = out_[0];
-                pos_ = 1;
-                k_->polarPairs(pair, 1, count - idx, ys + idx, r2s + idx,
-                               &accepted);
-            } else {
-                pos_ += 2 * k_->polarPairs(out_ + pos_, (kN - pos_) / 2,
-                                           count - idx, ys + idx,
-                                           r2s + idx, &accepted);
-            }
-            idx += accepted;
-        }
+        while (idx < count)
+            candidatePass([&](const uint64_t *u, size_t pairs) {
+                size_t accepted;
+                const size_t used =
+                    k_->polarPairs(u, pairs, count - idx, ys + idx,
+                                   r2s + idx, &accepted);
+                idx += accepted;
+                return used;
+            });
         draws_ += count;
     }
 

@@ -3,25 +3,33 @@
  * The bit-exact Gaussian draw kernels behind lt::Rng, compiled once
  * per ISA and picked once per process from cpuid.
  *
- * Three kernels over contiguous buffers (see detail::RngKernels), whose
+ * Four entries over contiguous buffers (see detail::RngKernels), whose
  * conversion and arithmetic passes take no data-dependent branch:
  *  - refill: the mt19937-64 twist over the 312-word state block plus
  *    the temper into the output block;
  *  - polarPairs: the polar candidate pass — exact u64 -> double,
  *    the 2^-64 scale, the below-1.0 clamp as a select, r^2, and the
- *    accepted (y, r^2) pairs compacted by advancing the write index
- *    by the accept flag;
+ *    accepted (y, r^2) pairs compacted: by advancing a write index by
+ *    the accept flag (baseline, AVX2), or by compressing each vector's
+ *    accept mask in registers (AVX-512). It stops at the pair holding
+ *    the want-th accept, so it consumes words exactly as that many
+ *    scalar rejection loops do. The caller's ys/r2s hold `want`
+ *    elements; nothing is written at or past index `want`;
  *  - polarFinish: y * sqrt(-2 ln r^2 / r^2) * stddev + mean, with
- *    glibc's scalar log kept and the sqrt/divide half vectorized.
+ *    glibc's scalar log kept and the sqrt/divide half vectorized;
+ *  - polarOne: one draw in one call (Rng::gaussian), built from the
+ *    polarPairs and polarFinish bodies with want == 1.
  *
  * Each kernel is one always-inlined body, instantiated in a baseline
  * function and in [[gnu::target("avx2")]] and
- * [[gnu::target("avx512f,avx512dq,avx512vl")]] ones; rngKernelVariants()
- * lists those this CPU runs (__builtin_cpu_supports), and Rng uses the
+ * [[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] ones (the
+ * AVX-512 candidate pass has its own body); rngKernelVariants() lists
+ * those this CPU runs (__builtin_cpu_supports), and Rng uses the
  * last. No flag, option or environment variable selects a variant:
  * builds of src/ with other flags (servebench's) get the same dispatch.
  *
- * Every variant is the same source, so every variant reproduces the
+ * Every variant computes its values from the same source (candidates,
+ * finishOne and the finish passes), so every variant reproduces the
  * libstdc++ sequence exactly: each operation is an IEEE-exact one
  * (conversions, power-of-two scales, min, sqrt, divide) or a
  * correctly rounded multiply/add that must stay unfused, which the
@@ -58,7 +66,7 @@ constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
 constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ULL;
 constexpr uint64_t kLowerMask = 0x7FFFFFFFULL;
 
-/** Candidate pairs converted per vector pass of polarPairs. */
+/** Candidate pairs per block of the scalar-compaction polarPairs. */
 constexpr size_t kPairBlock = 16;
 
 /**
@@ -154,11 +162,13 @@ candidates(const uint64_t *w, typename Lanes<L>::D &y,
 }
 
 /**
- * The polar candidate pass, L lanes wide. Each block of up to
- * kPairBlock pairs is converted with no branches (a short block from a
- * zero-padded copy); a scalar pass then stores every candidate at the
- * write index and advances it by the accept flag, stopping at the
- * want-th accept so consumption matches the scalar rejection loop.
+ * The polar candidate pass, L lanes wide, for the baseline and AVX2
+ * variants. Each block of up to kPairBlock pairs is converted with no
+ * branches (a short block from a zero-padded copy, whose pairs r^2 = 2
+ * rejects); a scalar pass then stores every candidate at the write
+ * index and advances it by the accept flag, stopping at the want-th
+ * accept so consumption matches the scalar rejection loop. Every
+ * store lands below index `want`.
  */
 template <size_t L, bool kNativeCvt>
 [[gnu::always_inline]] inline size_t
@@ -224,9 +234,18 @@ polarPairsBody(const uint64_t *u, size_t pairs, size_t want, double *ys,
 }
 
 /**
+ * One accepted pair's draw, in libstdc++'s association order:
+ * (y * sqrt(-2 * log(r2) / r2)) * stddev + mean.
+ */
+[[gnu::always_inline]] inline double
+finishOne(double y, double r2, double stddev, double mean)
+{
+    return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+}
+
+/**
  * The transform: glibc's scalar log, then the sqrt/divide/scale half,
- * which vectorizes. The association order is libstdc++'s:
- * (y * sqrt(-2 * log(r2) / r2)) * stddev + mean. The sqrt runs
+ * which vectorizes, in finishOne's association order. The sqrt runs
  * through `sqrtInPlace`, the variant's packed sqrt, because std::sqrt
  * stays scalar under GCC's default -fmath-errno.
  */
@@ -238,12 +257,10 @@ polarFinishBody(const double *__restrict ys,
                 double *__restrict out)
 {
     if (n < 4) {
-        // Too short for the passes below to pay (gaussian() takes one
-        // draw at a time): the same operations, fused per element.
+        // Too short for the passes below to pay: the same operations,
+        // fused per element.
         for (size_t j = 0; j < n; ++j)
-            out[j] = ys[j] * std::sqrt(-2.0 * std::log(r2s[j]) / r2s[j]) *
-                         stds[j] +
-                     mean;
+            out[j] = finishOne(ys[j], r2s[j], stds[j], mean);
         return;
     }
     // `out` doubles as the scratch row: log, then -2 log / r2, then
@@ -263,6 +280,20 @@ sqrtTail(double *t, size_t j, size_t m)
 {
     for (; j < m; ++j)
         t[j] = std::sqrt(t[j]);
+}
+
+/** polarOne from the scalar-compaction pass: want == 1, finished here. */
+template <size_t L, bool kNativeCvt>
+[[gnu::always_inline]] inline size_t
+polarOneBody(const uint64_t *u, size_t pairs, double mean, double stddev,
+             double *out, size_t *accepted)
+{
+    double y, r2;
+    const size_t used =
+        polarPairsBody<L, kNativeCvt>(u, pairs, 1, &y, &r2, accepted);
+    if (*accepted != 0)
+        *out = finishOne(y, r2, stddev, mean);
+    return used;
 }
 
 void
@@ -298,6 +329,13 @@ polarFinishBaseline(const double *ys, const double *r2s,
     polarFinishBody<sqrtBaseline>(ys, r2s, stds, n, mean, out);
 }
 
+size_t
+polarOneBaseline(const uint64_t *u, size_t pairs, double mean,
+                 double stddev, double *out, size_t *accepted)
+{
+    return polarOneBody<2, false>(u, pairs, mean, stddev, out, accepted);
+}
+
 #ifdef __x86_64__
 
 [[gnu::target("avx2")]] void
@@ -329,27 +367,86 @@ polarFinishAvx2(const double *ys, const double *r2s, const double *stds,
     polarFinishBody<sqrtAvx2>(ys, r2s, stds, n, mean, out);
 }
 
-[[gnu::target("avx512f,avx512dq,avx512vl")]] void
+[[gnu::target("avx2")]] size_t
+polarOneAvx2(const uint64_t *u, size_t pairs, double mean, double stddev,
+             double *out, size_t *accepted)
+{
+    return polarOneBody<4, false>(u, pairs, mean, stddev, out, accepted);
+}
+
+/**
+ * The AVX-512 candidate pass: eight pairs per 512-bit vector, their
+ * accepts as a mask, and no scalar compaction pass (512-bit candidate
+ * stores would stall such a pass's scalar loads on store forwarding).
+ * A short last block converts from a zero-padded copy, whose pairs
+ * have r^2 = 2 and are rejected. When a vector holds the want-th
+ * accept, pdep puts a one on that set bit of the mask, and the mask
+ * is cut after it, so consumption stops at that pair. vcompresspd
+ * packs the accepted lanes into the low lanes of a register, and a
+ * masked store writes exactly those lanes: no branch per pair, and no
+ * store past the accepted ones. (The memory form of vcompresspd is
+ * avoided; it is microcoded on Zen 4.) Needs BMI2 (pdep) and POPCNT.
+ */
+[[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] size_t
+polarPairsAvx512(const uint64_t *u, size_t pairs, size_t want,
+                 double *ys, double *r2s, size_t *accepted)
+{
+    size_t idx = 0;
+    size_t p = 0;
+    while (p < pairs && idx < want) {
+        const size_t m = std::min<size_t>(8, pairs - p);
+        const uint64_t *w = u + 2 * p;
+        uint64_t pad[16];
+        if (m < 8) {
+            std::fill(std::copy(w, w + 2 * m, pad), pad + 16, 0);
+            w = pad;
+        }
+        Lanes<8>::D y, r2;
+        candidates<8, true>(w, y, r2);
+        unsigned mask =
+            _mm512_cmp_pd_mask(r2, _mm512_set1_pd(1.0), _CMP_LE_OQ) &
+            _mm512_cmp_pd_mask(r2, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+        size_t take = __builtin_popcount(mask);
+        size_t used = m;
+        if (take >= want - idx) {
+            take = want - idx; // <= 8, so the shifts below are in range
+            const unsigned last =
+                __builtin_ctz(_pdep_u32(1u << (take - 1), mask));
+            mask &= (2u << last) - 1;
+            used = last + 1;
+        }
+        const __mmask8 low = (1u << take) - 1;
+        _mm512_mask_storeu_pd(ys + idx, low,
+                              _mm512_maskz_compress_pd(mask, y));
+        _mm512_mask_storeu_pd(r2s + idx, low,
+                              _mm512_maskz_compress_pd(mask, r2));
+        idx += take;
+        p += used;
+    }
+    *accepted = idx;
+    return p;
+}
+
+[[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] void
 refillAvx512(uint64_t *state, uint64_t *out)
 {
     refillBody(state, out);
 }
 
-// 256-bit lanes here too: AVX-512VL still converts them in one
-// vcvtuqq2pd, while 512-bit stores of the candidates stall the scalar
-// compaction's loads (store forwarding), which measured 2x slower.
-[[gnu::target("avx512f,avx512dq,avx512vl")]] size_t
-polarPairsAvx512(const uint64_t *u, size_t pairs, size_t want,
-                 double *ys, double *r2s, size_t *accepted)
-{
-    return polarPairsBody<4, true>(u, pairs, want, ys, r2s, accepted);
-}
-
-[[gnu::target("avx512f,avx512dq,avx512vl")]] void
+[[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] void
 polarFinishAvx512(const double *ys, const double *r2s,
                   const double *stds, size_t n, double mean, double *out)
 {
     polarFinishBody<sqrtAvx2>(ys, r2s, stds, n, mean, out);
+}
+
+// One draw converts one 256-bit vector of four pairs, which nearly
+// always holds an accept: 512-bit candidates measured slower here.
+[[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] size_t
+polarOneAvx512(const uint64_t *u, size_t pairs, double mean,
+               double stddev, double *out, size_t *accepted)
+{
+    return polarOneBody<4, true>(u, pairs, mean, stddev, out, accepted);
 }
 #endif
 
@@ -368,17 +465,20 @@ rngKernelVariants()
     static const Supported supported = [] {
         Supported s{};
         s.list[s.count++] = {"baseline", refillBaseline,
-                             polarPairsBaseline, polarFinishBaseline};
+                             polarPairsBaseline, polarFinishBaseline,
+                             polarOneBaseline};
 #ifdef __x86_64__
         __builtin_cpu_init();
         if (__builtin_cpu_supports("avx2"))
             s.list[s.count++] = {"avx2", refillAvx2, polarPairsAvx2,
-                                 polarFinishAvx2};
+                                 polarFinishAvx2, polarOneAvx2};
         if (__builtin_cpu_supports("avx512f") &&
             __builtin_cpu_supports("avx512dq") &&
-            __builtin_cpu_supports("avx512vl"))
+            __builtin_cpu_supports("avx512vl") &&
+            __builtin_cpu_supports("bmi2") &&
+            __builtin_cpu_supports("popcnt"))
             s.list[s.count++] = {"avx512", refillAvx512, polarPairsAvx512,
-                                 polarFinishAvx512};
+                                 polarFinishAvx512, polarOneAvx512};
 #endif
         return s;
     }();

@@ -305,6 +305,52 @@ TEST(PackedKernelGolden, QuantizedSixBit)
                   -0x1.576f6bee40f1cp-1, -0x1.ece4a6c09ad64p-1});
 }
 
+TEST(PackedKernelGolden, FastSamplerGemm)
+{
+    // The Fast sampler's stream is its own, so the BitExact goldens
+    // above do not cover it. A zero row of A and a zero column of B
+    // leave zero-std magnitude holes, which must consume nothing; the
+    // phase-only config drops every magnitude draw. Draw counts are
+    // pinned with the values.
+    struct Case
+    {
+        double magnitude_std;
+        GoldenProbes probes;
+        uint64_t draws;
+    };
+    const Case cases[] = {
+        {0.03,
+         {0x1.8aebef5503ad4p+3, -0x1.96189a902c282p+1,
+          0x1.ebf6eb859d5b6p-1, 0x1.2151d3508739ap-9},
+         10176},
+        {0.0,
+         {0x1.7eee2ef739c1ep+3, -0x1.8fe1aeab3bf6ap+1,
+          0x1.e446ac3945798p-1, 0x1.4f4ee23e71f31p-9},
+         4004},
+    };
+    for (const Case &c : cases) {
+        DptcConfig cfg;
+        cfg.noise.sampler = NoiseSampler::Fast;
+        cfg.noise.magnitude_noise_std = c.magnitude_std;
+        Dptc dptc(cfg);
+        Matrix a = goldenMatrix(13, 25, 1313);
+        Matrix b = goldenMatrix(25, 11, 1414);
+        for (size_t k = 0; k < a.cols(); ++k)
+            a(6, k) = 0.0;
+        for (size_t k = 0; k < b.rows(); ++k)
+            b(k, 4) = 0.0;
+        EncodedOperand ea = dptc.encode(a, OperandSide::A, EvalMode::Noisy);
+        EncodedOperand eb = dptc.encode(b, OperandSide::B, EvalMode::Noisy);
+        Matrix out(a.rows(), b.cols(), 0.0);
+        uint64_t draws = 0;
+        dptc.gemmTiles(ea, eb, EvalMode::Noisy, ea.beta() * eb.beta(), 0,
+                       dptc.outputTilesFor(a.rows(), b.cols()), out,
+                       0xFA57, &draws);
+        expectGolden(out, c.probes);
+        EXPECT_EQ(draws, c.draws) << "magnitude std " << c.magnitude_std;
+    }
+}
+
 TEST(EncodedOperand, EncodeMatchesNormalizeQuantize)
 {
     DptcConfig cfg;
@@ -351,9 +397,11 @@ TEST(EncodedOperand, ZeroOperandEncodesToZeros)
 TEST(EncodedOperand, PackedKernelMatchesReferenceKernel)
 {
     // The equivalence the goldens pin at fixed points, swept across
-    // shapes (partial tiles in every dimension) and noise configs:
-    // encode + packed gemmTiles must equal normalizeQuantize +
-    // reference gemmTiles bit-for-bit.
+    // shapes (partial tiles in every dimension), noise configs and
+    // operands with zero rows and columns (zero-std holes in the
+    // pass's one fill) or no nonzero at all (beta 0): encode + packed
+    // gemmTiles must equal normalizeQuantize + reference gemmTiles
+    // bit-for-bit.
     struct Shape
     {
         size_t m, k, n;
@@ -366,7 +414,16 @@ TEST(EncodedOperand, PackedKernelMatchesReferenceKernel)
     phase_only.magnitude_noise_std = 0.0;
     NoiseConfig no_encoding = paper;
     no_encoding.enable_encoding_noise = false;
-    const NoiseConfig configs[] = {paper, phase_only, no_encoding};
+    NoiseConfig no_systematic = paper;
+    no_systematic.enable_systematic_noise = false;
+    const NoiseConfig configs[] = {paper, phase_only, no_encoding,
+                                   no_systematic};
+    enum class Operands
+    {
+        Dense,
+        ZeroRowsAndColumns,
+        ZeroA,
+    };
 
     uint64_t seed = 9000;
     for (const NoiseConfig &noise : configs) {
@@ -375,29 +432,44 @@ TEST(EncodedOperand, PackedKernelMatchesReferenceKernel)
         cfg.noise = noise;
         Dptc dptc(cfg);
         for (const Shape &s : shapes) {
-            Matrix a = goldenMatrix(s.m, s.k, seed++);
-            Matrix b = goldenMatrix(s.k, s.n, seed++);
-            const size_t tiles = dptc.outputTilesFor(s.m, s.n);
+            for (Operands ops : {Operands::Dense,
+                                 Operands::ZeroRowsAndColumns,
+                                 Operands::ZeroA}) {
+                Matrix a = goldenMatrix(s.m, s.k, seed++);
+                Matrix b = goldenMatrix(s.k, s.n, seed++);
+                if (ops == Operands::ZeroRowsAndColumns) {
+                    for (size_t r = 0; r < s.m; r += 3)
+                        for (size_t k = 0; k < s.k; ++k)
+                            a(r, k) = 0.0;
+                    for (size_t c = 1; c < s.n; c += 4)
+                        for (size_t k = 0; k < s.k; ++k)
+                            b(k, c) = 0.0;
+                } else if (ops == Operands::ZeroA) {
+                    a = Matrix(s.m, s.k, 0.0);
+                }
+                const size_t tiles = dptc.outputTilesFor(s.m, s.n);
 
-            double beta_a = Dptc::maxAbs(a);
-            double beta_b = Dptc::maxAbs(b);
-            Matrix a_hat = Dptc::normalizeQuantize(a, beta_a, 8);
-            Matrix b_hat = Dptc::normalizeQuantize(b, beta_b, 8);
-            Matrix ref(s.m, s.n, 0.0);
-            dptc.gemmTiles(a_hat, b_hat, EvalMode::Noisy,
-                           beta_a * beta_b, 0, tiles, ref, 0xFEED);
+                double beta_a = Dptc::maxAbs(a);
+                double beta_b = Dptc::maxAbs(b);
+                Matrix a_hat = Dptc::normalizeQuantize(a, beta_a, 8);
+                Matrix b_hat = Dptc::normalizeQuantize(b, beta_b, 8);
+                Matrix ref(s.m, s.n, 0.0);
+                dptc.gemmTiles(a_hat, b_hat, EvalMode::Noisy,
+                               beta_a * beta_b, 0, tiles, ref, 0xFEED);
 
-            EncodedOperand ea =
-                dptc.encode(a, OperandSide::A, EvalMode::Noisy);
-            EncodedOperand eb =
-                dptc.encode(b, OperandSide::B, EvalMode::Noisy);
-            Matrix packed(s.m, s.n, 0.0);
-            dptc.gemmTiles(ea, eb, EvalMode::Noisy,
-                           ea.beta() * eb.beta(), 0, tiles, packed,
-                           0xFEED);
+                EncodedOperand ea =
+                    dptc.encode(a, OperandSide::A, EvalMode::Noisy);
+                EncodedOperand eb =
+                    dptc.encode(b, OperandSide::B, EvalMode::Noisy);
+                Matrix packed(s.m, s.n, 0.0);
+                dptc.gemmTiles(ea, eb, EvalMode::Noisy,
+                               ea.beta() * eb.beta(), 0, tiles, packed,
+                               0xFEED);
 
-            EXPECT_EQ(packed.maxAbsDiff(ref), 0.0)
-                << s.m << "x" << s.k << "x" << s.n;
+                EXPECT_EQ(packed.maxAbsDiff(ref), 0.0)
+                    << s.m << "x" << s.k << "x" << s.n << " operands "
+                    << static_cast<int>(ops);
+            }
         }
     }
 }

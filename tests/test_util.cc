@@ -453,6 +453,153 @@ TEST_P(RngKernelVariant, CraftedWordsHitClampAndZeroRadius)
     }
 }
 
+TEST_P(RngKernelVariant, CompactionStopsAtTheWantedAccept)
+{
+    // Crafted pairs put the want-th accept in every lane of an 8-pair
+    // vector, for want 1-17, with the stream ending right after it
+    // (short, zero-padded last block), a few pairs later, or a whole
+    // vector later. Accepted pairs lie near the origin; rejected ones
+    // have r^2 = 2 (words 0), r^2 == 0 (2^63 twice) or r^2 ~ 2 (all
+    // ones). polarPairs must consume exactly the words `want` fresh
+    // std::normal_distribution draws do and store exactly those draws
+    // (the slots from `want` on keep their sentinel), and polarOne
+    // must match the first draw.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    const uint64_t half = 1ULL << 63;
+    const uint64_t rejects[3][2] = {{0, 0}, {half, half}, {~0ULL, ~0ULL}};
+    Rng filler(0xC0DE);
+    auto near_origin = [&] { return half + 1 + (filler.nextU64() >> 2); };
+    constexpr double kSentinel = -123.0;
+    for (size_t want = 1; want <= 17; ++want) {
+        for (size_t lane = 0; lane < 8; ++lane) {
+            const size_t hit = 8 * ((want + 7) / 8) + lane; // >= want
+            // want - 1 accepts spread over the pairs before `hit`.
+            std::vector<bool> accept(hit + 1, false);
+            accept[hit] = true;
+            for (size_t placed = 0; placed + 1 < want;) {
+                const size_t p =
+                    static_cast<size_t>(filler.uniformInt(0, hit - 1));
+                placed += !accept[p];
+                accept[p] = true;
+            }
+            for (size_t tail : {0, 3, 8}) {
+                std::vector<uint64_t> words;
+                for (size_t p = 0; p <= hit + tail; ++p) {
+                    if (p > hit || accept[p]) {
+                        words.push_back(near_origin());
+                        words.push_back(near_origin());
+                    } else {
+                        words.push_back(rejects[p % 3][0]);
+                        words.push_back(rejects[p % 3][1]);
+                    }
+                }
+                const size_t pairs = words.size() / 2;
+                ReplayWords ref{&words};
+                std::vector<double> expect(want);
+                for (double &e : expect) {
+                    std::normal_distribution<double> d;
+                    e = d(ref);
+                }
+                ASSERT_EQ(ref.pos, 2 * (hit + 1));
+
+                std::vector<double> ys(want + 8, kSentinel);
+                std::vector<double> r2s(want + 8, kSentinel);
+                size_t got = 0;
+                const size_t used = k->polarPairs(
+                    words.data(), pairs, want, ys.data(), r2s.data(), &got);
+                const std::string where = "want " + std::to_string(want) +
+                                          " lane " + std::to_string(lane) +
+                                          " tail " + std::to_string(tail);
+                ASSERT_EQ(got, want) << where;
+                EXPECT_EQ(used, hit + 1) << where;
+                for (size_t i = want; i < ys.size(); ++i) {
+                    EXPECT_EQ(ys[i], kSentinel) << where << " slot " << i;
+                    EXPECT_EQ(r2s[i], kSentinel) << where << " slot " << i;
+                }
+                const std::vector<double> ones(want, 1.0);
+                std::vector<double> vals(want);
+                k->polarFinish(ys.data(), r2s.data(), ones.data(), want,
+                               0.0, vals.data());
+                EXPECT_EQ(vals, expect) << where;
+
+                double one = 0.0;
+                size_t one_accepted = 0;
+                ReplayWords first{&words};
+                std::normal_distribution<double> d;
+                const double first_draw = d(first);
+                EXPECT_EQ(2 * k->polarOne(words.data(), pairs, 0.0, 1.0,
+                                          &one, &one_accepted),
+                          first.pos)
+                    << where;
+                EXPECT_EQ(one_accepted, 1u) << where;
+                EXPECT_EQ(one, first_draw) << where;
+            }
+        }
+    }
+
+    // All rejects: everything is consumed, nothing is accepted, and
+    // nothing is stored at or past `want`.
+    std::vector<uint64_t> words(2 * 13, 0);
+    std::vector<double> ys(4 + 8, kSentinel), r2s(4 + 8, kSentinel);
+    size_t got = 1;
+    EXPECT_EQ(k->polarPairs(words.data(), 13, 4, ys.data(), r2s.data(),
+                            &got),
+              13u);
+    EXPECT_EQ(got, 0u);
+    for (size_t i = 4; i < ys.size(); ++i) {
+        EXPECT_EQ(ys[i], kSentinel) << "slot " << i;
+        EXPECT_EQ(r2s[i], kSentinel) << "slot " << i;
+    }
+    double one = kSentinel;
+    EXPECT_EQ(k->polarOne(words.data(), 13, 0.0, 1.0, &one, &got), 13u);
+    EXPECT_EQ(got, 0u);
+    EXPECT_EQ(one, kSentinel);
+}
+
+TEST_P(RngKernelVariant, FillsAcrossTheBlockBoundaryMatchStd)
+{
+    // Rng positioned `off` words before the end of a 312-word block
+    // (odd offsets make the first pair straddle the refill), then one
+    // fill of `want` draws, or `want` gaussian() calls: values, and the
+    // next raw word, must match std::normal_distribution over the same
+    // mt19937_64 words replayed.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    std::mt19937_64 eng(0xB10C);
+    std::vector<uint64_t> words(4 * Rng::kBlockWords);
+    for (uint64_t &w : words)
+        w = eng();
+    for (size_t want = 1; want <= 17; ++want) {
+        for (size_t off = 0; off <= 40; ++off) {
+            for (bool scalar : {false, true}) {
+                Rng rng(0xB10C, *k);
+                const size_t start = Rng::kBlockWords - off;
+                for (size_t i = 0; i < start; ++i)
+                    rng.nextU64();
+                std::vector<double> out(want);
+                if (scalar) {
+                    for (double &v : out)
+                        v = rng.gaussian(0.0, 1.0);
+                } else {
+                    rng.fillGaussian(out, 0.0, 1.0);
+                }
+                ReplayWords ref{&words, start};
+                for (size_t i = 0; i < want; ++i) {
+                    std::normal_distribution<double> d;
+                    ASSERT_EQ(out[i], d(ref))
+                        << "want " << want << " off " << off << " draw "
+                        << i << (scalar ? " scalar" : " fill");
+                }
+                ASSERT_EQ(rng.nextU64(), words[ref.pos])
+                    << "want " << want << " off " << off;
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Rng, RngKernelVariant,
     ::testing::Values("baseline", "avx2", "avx512"),
