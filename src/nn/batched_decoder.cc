@@ -12,6 +12,20 @@ std::vector<Matrix>
 BatchedDecoder::step(const std::vector<InferenceSession *> &sessions,
                      const std::vector<int> &tokens)
 {
+    return advance(sessions, tokens, /*logits_read=*/true);
+}
+
+void
+BatchedDecoder::ingest(const std::vector<InferenceSession *> &sessions,
+                       const std::vector<int> &tokens)
+{
+    advance(sessions, tokens, /*logits_read=*/false);
+}
+
+std::vector<Matrix>
+BatchedDecoder::advance(const std::vector<InferenceSession *> &sessions,
+                        const std::vector<int> &tokens, bool logits_read)
+{
     const size_t n = sessions.size();
     if (n == 0)
         throw std::invalid_argument(
@@ -61,6 +75,9 @@ BatchedDecoder::step(const std::vector<InferenceSession *> &sessions,
                 std::to_string(model->config().max_tokens));
     }
     const TransformerConfig &cfg = model->config();
+    // Only a LastToken ingest skips work: Mean pooling's running sum
+    // needs every row's final LN.
+    const bool full = logits_read || cfg.pooling == Pooling::Mean;
 
     obs::TraceScope span("decoder/step", obs::kNoRequest, "batch",
                          static_cast<int64_t>(n), "layers",
@@ -79,35 +96,46 @@ BatchedDecoder::step(const std::vector<InferenceSession *> &sessions,
     }
 
     // Lockstep through the layers: every projection and both dynamic
-    // attention products fuse the N requests into one gemmBatch.
+    // attention products fuse the N requests into one gemmBatch. An
+    // ingest's last layer only appends its K/V: nothing reads that
+    // layer's output but the head.
     std::vector<AttentionKvCache *> kvs(n);
     for (size_t l = 0; l < model->depth(); ++l) {
         for (size_t i = 0; i < n; ++i)
             kvs[i] = &sessions[i]->kv_[l];
-        xs = model->block(l).decodeStepBatch(xs, kvs, ctxs);
+        if (full || l + 1 < model->depth())
+            xs = model->block(l).decodeStepBatch(xs, kvs, ctxs);
+        else
+            model->block(l).ingestStepBatch(xs, kvs, ctxs);
     }
 
     // Final LN + pooling per request (row-wise), then the LM head as
     // one fused batch. Mean pooling keeps a running row sum and
     // divides (not multiplies by a reciprocal): bit-matches the
-    // full-sequence mean pooling.
-    LayerNormCache ln_scratch;
-    std::vector<Matrix> pooled(n);
-    for (size_t i = 0; i < n; ++i) {
-        InferenceSession &s = *sessions[i];
-        Matrix normed = model->final_ln_.forward(xs[i], ln_scratch);
-        if (cfg.pooling == Pooling::Mean) {
-            pooled[i] = Matrix(1, cfg.dim);
-            for (size_t c = 0; c < cfg.dim; ++c) {
-                s.pooled_sum_(0, c) += normed(0, c);
-                pooled[i](0, c) = s.pooled_sum_(0, c) /
-                                  static_cast<double>(s.len_ + 1);
+    // full-sequence mean pooling. An ingest claims the head's id.
+    std::vector<Matrix> logits;
+    if (full) {
+        LayerNormCache ln_scratch;
+        std::vector<Matrix> pooled(n);
+        for (size_t i = 0; i < n; ++i) {
+            InferenceSession &s = *sessions[i];
+            Matrix normed = model->final_ln_.forward(xs[i], ln_scratch);
+            if (cfg.pooling == Pooling::Mean) {
+                pooled[i] = Matrix(1, cfg.dim);
+                for (size_t c = 0; c < cfg.dim; ++c) {
+                    s.pooled_sum_(0, c) += normed(0, c);
+                    pooled[i](0, c) = s.pooled_sum_(0, c) /
+                                      static_cast<double>(s.len_ + 1);
+                }
+            } else {
+                pooled[i] = std::move(normed);
             }
-        } else {
-            pooled[i] = std::move(normed);
         }
+        logits = model->head_.forwardBatch(pooled, ctxs);
+    } else {
+        for (RunContext *ctx : ctxs)
+            ctx->stream.skip(1);
     }
-    std::vector<Matrix> logits = model->head_.forwardBatch(pooled, ctxs);
 
     for (size_t i = 0; i < n; ++i) {
         sessions[i]->tokens_.push_back(tokens[i]);

@@ -14,14 +14,17 @@
  * independent products to shard across every DPTC core replica.
  *
  * This is the only decode implementation: InferenceSession::decodeStep
- * is step() over a batch of one.
+ * is step() over a batch of one, and ingest() is step() cut short for
+ * callers that discard the logits (InferenceSession::ingestStep).
  *
  * Correctness contract (the headline): because stream-addressed
  * products are pure functions of (operands, config, stream) and each
  * session draws from its own request_id lane in a fixed per-session
  * order, the logits of a batched step are BIT-IDENTICAL to each
  * session stepping alone — at any batch size, on the noisy engine.
- * tests/test_serve.cc asserts this at concurrency 1..16.
+ * tests/test_serve.cc asserts this at concurrency 1..16. A skipped
+ * product keeps its place in that order (NoiseStream::skip), so an
+ * ingest() leaves every session exactly where step() would.
  */
 
 #ifndef LT_NN_BATCHED_DECODER_HH
@@ -55,6 +58,28 @@ class BatchedDecoder
     static std::vector<Matrix>
     step(const std::vector<InferenceSession *> &sessions,
          const std::vector<int> &tokens);
+
+    /**
+     * step() for callers that discard the logits: the ingest of a
+     * prompt position before a chunk's last, or of a replayed token.
+     * Layers 0..depth-2 run as in step(); the last layer only appends
+     * its K/V (TransformerBlock::ingestStepBatch), and the final LN
+     * and the LM head are skipped. Every skipped product still claims
+     * its stream id, in step()'s order, so each session's K/V caches
+     * (dense and packed) and noise lane end bit-identical to step()'s,
+     * and so does every later logit. Mean pooling runs step() in full:
+     * its running pooled sum needs every row's final LN. Same
+     * requirements as step().
+     */
+    static void
+    ingest(const std::vector<InferenceSession *> &sessions,
+           const std::vector<int> &tokens);
+
+  private:
+    /** step() when `logits_read`, else ingest(). */
+    static std::vector<Matrix>
+    advance(const std::vector<InferenceSession *> &sessions,
+            const std::vector<int> &tokens, bool logits_read);
 };
 
 } // namespace nn

@@ -73,6 +73,13 @@ class NoiseStream
         return deriveSeed(base_, count_++);
     }
 
+    /**
+     * Claim the next n ids without using them: the ids of products a
+     * step skips because nobody reads their results. Every later
+     * product then draws the id it would have drawn had they run.
+     */
+    void skip(uint64_t n) { count_ += n; }
+
     /** Decorrelated child stream for independent request/sample i. */
     NoiseStream
     lane(uint64_t i) const

@@ -63,6 +63,12 @@ hashPrefixTokens(const std::vector<int> &tokens)
     return h;
 }
 
+NoiseStream
+prefixLane(const std::vector<int> &tokens)
+{
+    return NoiseStream(kPrefixLaneSalt).lane(hashPrefixTokens(tokens));
+}
+
 InferenceSession::InferenceSession(const TransformerClassifier &model,
                                    GemmBackend &backend,
                                    const QuantConfig &quant,
@@ -224,7 +230,15 @@ InferenceSession::prefillChunk(const std::vector<int> &tokens,
             " tokens exceeds max_tokens = " +
             std::to_string(cfg.max_tokens));
 
+    // Only the chunk's last token returns logits; every position
+    // before it ingests its K/V alone (ingestStep).
     Matrix logits;
+    auto ingestAt = [&](size_t pos) {
+        if (pos + 1 < end)
+            ingestStep(tokens[pos]);
+        else
+            logits = decodeStep(tokens[pos]);
+    };
     size_t i = begin;
     if (len_ == 0) {
         if (!plan.prefix) {
@@ -249,14 +263,14 @@ InferenceSession::prefillChunk(const std::vector<int> &tokens,
             // The first suffix token creates the tail mirrors; reserve
             // their backing right after (an append into an empty
             // Matrix replaces it, so reserving earlier would be lost).
-            logits = decodeStep(tokens[p]);
+            ingestAt(p);
             for (AttentionKvCache &kv : kv_)
                 kv.reserve(tail_reserve);
             i = p + 1;
         }
     }
     for (; i < end; ++i)
-        logits = decodeStep(tokens[i]);
+        ingestAt(i);
     return logits;
 }
 
@@ -279,12 +293,17 @@ InferenceSession::buildKvPrefix(const TransformerClassifier &model,
     // Content-addressed lane: the prefix's K/V depend on its tokens
     // (and the model/backend/quant config), never on which request
     // triggered the computation — the whole sharing contract.
-    RunContext ctx{&backend, quant,
-                   NoiseStream(kPrefixLaneSalt)
-                       .lane(hashPrefixTokens(tokens)),
+    RunContext ctx{&backend, quant, prefixLane(tokens),
                    /*inference=*/true};
+    // A prefix keeps its K/V and no logits, so the forward stops at
+    // the last layer's K/V; Mean pooling's running sum needs every
+    // row's final LN, so it runs the whole forward. Both validate the
+    // token count and ids.
     ActivationWorkspace ws;
-    model.forwardSequence(tokens, ws, ctx); // validates count + ids
+    if (cfg.pooling == Pooling::Mean)
+        model.forwardSequence(tokens, ws, ctx);
+    else
+        model.forwardSequenceKv(tokens, ws, ctx);
 
     auto prefix = std::make_shared<KvPrefix>();
     prefix->tokens = tokens;
@@ -311,6 +330,22 @@ InferenceSession::decodeStep(int token)
                          "context",
                          static_cast<int64_t>(len_ + 1));
     return BatchedDecoder::step({this}, {token}).front();
+}
+
+void
+InferenceSession::ingestStep(int token)
+{
+    // A fresh session's first token is the one-token prefill; Mean
+    // pooling's running sum needs every row's final LN. Both run the
+    // full step and drop its logits.
+    if (len_ == 0 || model_->config().pooling == Pooling::Mean) {
+        decodeStep(token);
+        return;
+    }
+    obs::TraceScope span("session/ingest_step", request_id_,
+                         "context",
+                         static_cast<int64_t>(len_ + 1));
+    BatchedDecoder::ingest({this}, {token});
 }
 
 } // namespace nn

@@ -22,6 +22,16 @@
  * nn/llm_workload.hh's analytic decodeStepWorkload() models
  * (bench_llm_decode cross-checks the two).
  *
+ * A position whose logits nobody reads (a prompt chunk's tokens before
+ * its last, a shared prefix, a replayed token) needs only its K/V from
+ * the last layer. ingestStep() and buildKvPrefix() stop there: the
+ * last layer's Q projection, QK^T/AV, WO and FFN, the final LN and the
+ * head are skipped, and each skipped product claims its stream id in
+ * the full step's order, so the K/V, the noise lane and every later
+ * logit are bit-identical to the full step's. Such a token costs the
+ * full step's MACs minus that dead work (test_chunked_prefill derives
+ * both from decodeStepWorkload). Mean pooling keeps the full step.
+ *
  * Determinism: each session draws noise from its own lane (derived
  * from `request_id`), so its logits are bit-identical whether it runs
  * alone or interleaved with any number of concurrent sessions.
@@ -52,10 +62,11 @@ namespace nn {
  * Immutable K/V of a prompt prefix, shareable across sessions — the
  * unit the serve-layer KV block pool refcounts and evicts.
  *
- * A prefix is computed by InferenceSession::buildKvPrefix as ONE full
- * forward over exactly its tokens on a *content-addressed* noise lane
- * (derived from hashPrefixTokens, not from any request id), which
- * makes it a pure function of (model weights, backend config, tokens):
+ * A prefix is computed by InferenceSession::buildKvPrefix as ONE
+ * whole-sequence forward over exactly its tokens, stopped at the last
+ * layer's K/V, on a *content-addressed* noise lane (derived from
+ * hashPrefixTokens, not from any request id), which makes it a pure
+ * function of (model weights, backend config, tokens):
  *
  *  - every request that maps the prefix reads bit-identical K/V, so a
  *    shared-cache hit equals a solo run that computed its own prefix;
@@ -81,6 +92,9 @@ struct KvPrefix
 
 /** FNV-1a over token ids: prefix cache key + content noise lane. */
 uint64_t hashPrefixTokens(const std::vector<int> &tokens);
+
+/** The content-addressed noise lane buildKvPrefix runs `tokens` on. */
+NoiseStream prefixLane(const std::vector<int> &tokens);
 
 /**
  * How prefill should provision K/V memory for one request. The
@@ -151,10 +165,14 @@ class InferenceSession
      * ticks instead of stalling them for the whole prompt.
      *
      * Chunks ingest token-by-token through the incremental decode
-     * path on the session's own noise lane; because every position
-     * draws a fixed number of stream ids, the result after the last
-     * chunk is bit-identical for ANY chunking of the same prompt
-     * (chunk size 1 == 3 == one whole-prompt chunk). `begin` must
+     * path on the session's own noise lane: the chunk's last token
+     * takes the full decode step, whose logits are returned, and
+     * every token before it an ingestStep(), which stops at the last
+     * layer's K/V. Every position claims a fixed number of stream ids
+     * (a skipped product claims its id without running), so the
+     * result after the last chunk is bit-identical for ANY chunking
+     * of the same prompt (chunk size 1 == 3 == one whole-prompt
+     * chunk). `begin` must
      * equal contextLen() (chunks resume where the previous one
      * stopped; with a shared-prefix plan the mapped prefix counts, so
      * the first chunk must extend past it). Returns the logits after
@@ -179,14 +197,18 @@ class InferenceSession
 
     /**
      * Compute the shareable K/V of `tokens` as a prompt prefix: one
-     * full-sequence forward on the content-addressed noise lane, its
-     * per-layer quantized K/V (and, on encoded-operand backends, the
-     * packed encodings) seeded into an immutable KvPrefix by
-     * MultiHeadSelfAttention::seedKvCache, as a session's tail is. Pure
-     * function of (model, backend config, quant, tokens) — see the
-     * KvPrefix contract. Throws std::invalid_argument for models an
-     * InferenceSession would reject, empty/too-long prefixes, or
-     * out-of-vocabulary ids.
+     * whole-sequence forward on the content-addressed noise lane that
+     * stops at the last layer's K/V (its Q, QK^T/AV, WO and FFN, the
+     * final LN and the head are skipped and their stream ids claimed;
+     * Mean pooling runs the full forward, since its pooled sum needs
+     * every row's final LN). The per-layer quantized K/V (and, on
+     * encoded-operand backends, the packed encodings) are seeded into
+     * an immutable KvPrefix by MultiHeadSelfAttention::seedKvCache, as
+     * a session's tail is. Bit-identical to the K/V forwardSequence +
+     * seedKvCache yield on the same lane. Pure function of (model,
+     * backend config, quant, tokens) — see the KvPrefix contract.
+     * Throws std::invalid_argument for models an InferenceSession
+     * would reject, empty/too-long prefixes, or out-of-vocabulary ids.
      */
     static std::shared_ptr<const KvPrefix>
     buildKvPrefix(const TransformerClassifier &model,
@@ -202,6 +224,21 @@ class InferenceSession
      * would exceed TransformerConfig::max_tokens.
      */
     Matrix decodeStep(int token);
+
+    /**
+     * Append one token whose logits the caller will not read:
+     * BatchedDecoder::ingest over this session alone. Leaves the K/V
+     * caches and the noise lane bit-identical to decodeStep(token)
+     * while skipping the last layer's Q, attention products, WO and
+     * FFN and the head (a "session/ingest_step" span). On a fresh
+     * session, and under Mean pooling, it is decodeStep(token) with
+     * the logits dropped. Throws as decodeStep() does.
+     */
+    void ingestStep(int token);
+
+    /** Layer `l`'s K/V: the mapped prefix segment, if any, and the
+     *  session's own tail. */
+    const AttentionKvCache &kvCache(size_t l) const { return kv_.at(l); }
 
     /** Tokens currently in the K/V cache. */
     size_t contextLen() const { return len_; }

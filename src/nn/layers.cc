@@ -378,31 +378,18 @@ MultiHeadSelfAttention::forward(const Matrix &x, AttentionCache &cache,
 {
     const size_t tokens = x.rows();
     Matrix q = wq_.forward(x, cache.wq, ctx);
-    Matrix k = wk_.forward(x, cache.wk, ctx);
-    Matrix v = wv_.forward(x, cache.wv, ctx);
-
-    cache.q.assign(heads_, Matrix());
-    cache.k.assign(heads_, Matrix());
-    cache.v.assign(heads_, Matrix());
-    cache.p.assign(heads_, Matrix());
+    projectKv(x, cache, ctx);
 
     // Per-head operands first, so the dynamic MMs can run as one
     // batch on the execution engine (each head's product keeps its
     // own noise stream — batching never changes results).
+    cache.q.assign(heads_, Matrix());
+    cache.p.assign(heads_, Matrix());
     for (size_t h = 0; h < heads_; ++h) {
         Matrix qh = sliceCols(q, h * dk_, dk_);
-        Matrix kh = sliceCols(k, h * dk_, dk_);
-        Matrix vh = sliceCols(v, h * dk_, dk_);
-        if (ctx.quant.enabled) {
-            // Dynamic operands are quantized at the DAC just like
-            // weights (both are activations in attention).
+        if (ctx.quant.enabled)
             qh = fakeQuant(qh, ctx.quant.act_bits);
-            kh = fakeQuant(kh, ctx.quant.act_bits);
-            vh = fakeQuant(vh, ctx.quant.act_bits);
-        }
         cache.q[h] = std::move(qh);
-        cache.k[h] = std::move(kh);
-        cache.v[h] = std::move(vh);
     }
 
     // QK^T: the first dynamic MM, batched over heads. The transposed
@@ -456,6 +443,37 @@ MultiHeadSelfAttention::forward(const Matrix &x, AttentionCache &cache,
     for (size_t h = 0; h < heads_; ++h)
         pasteCols(context, ctx_heads[h], h * dk_);
     return wo_.forward(context, cache.wo, ctx);
+}
+
+void
+MultiHeadSelfAttention::projectKv(const Matrix &x, AttentionCache &cache,
+                                  RunContext &ctx) const
+{
+    Matrix k = wk_.forward(x, cache.wk, ctx);
+    Matrix v = wv_.forward(x, cache.wv, ctx);
+    cache.k.assign(heads_, Matrix());
+    cache.v.assign(heads_, Matrix());
+    for (size_t h = 0; h < heads_; ++h) {
+        Matrix kh = sliceCols(k, h * dk_, dk_);
+        Matrix vh = sliceCols(v, h * dk_, dk_);
+        if (ctx.quant.enabled) {
+            // Dynamic operands are quantized at the DAC just like
+            // weights (both are activations in attention).
+            kh = fakeQuant(kh, ctx.quant.act_bits);
+            vh = fakeQuant(vh, ctx.quant.act_bits);
+        }
+        cache.k[h] = std::move(kh);
+        cache.v[h] = std::move(vh);
+    }
+}
+
+void
+MultiHeadSelfAttention::forwardKv(const Matrix &x, AttentionCache &cache,
+                                  RunContext &ctx) const
+{
+    ctx.stream.skip(1); // wq
+    projectKv(x, cache, ctx);
+    ctx.stream.skip(2 * heads_ + 1); // QK^T and AV per head, then WO
 }
 
 Matrix
@@ -592,8 +610,8 @@ runKvProducts(GemmBackend &backend, const std::vector<KvProduct> &ps,
 
 } // namespace
 
-std::vector<Matrix>
-MultiHeadSelfAttention::decodeStepBatch(
+std::vector<std::vector<const KvLayerSegment *>>
+MultiHeadSelfAttention::decodeParts(
     const std::vector<Matrix> &xs,
     const std::vector<AttentionKvCache *> &kvs,
     const std::vector<RunContext *> &ctxs) const
@@ -606,17 +624,12 @@ MultiHeadSelfAttention::decodeStepBatch(
     if (kvs.size() != n || ctxs.size() != n)
         lt_panic("decodeStepBatch: ", n, " rows vs ", kvs.size(),
                  " caches vs ", ctxs.size(), " contexts");
-    if (n == 0)
-        return {};
     for (const Matrix &x : xs)
         if (x.rows() != 1 || x.cols() != dim_)
             throw std::invalid_argument(
                 "decodeStepBatch expects one [1, dim] token row per "
                 "request");
-    GemmBackend *backend = ctxs.front()->backend;
 
-    // A request's context is its K/V parts in position order: the
-    // mapped shared segment, if any, then its private tail.
     std::vector<std::vector<const KvLayerSegment *>> parts(n);
     for (size_t i = 0; i < n; ++i) {
         if (const KvLayerSegment *seg = kvs[i]->segment.get()) {
@@ -631,50 +644,97 @@ MultiHeadSelfAttention::decodeStepBatch(
         }
         parts[i].push_back(&kvs[i]->tail);
     }
+    return parts;
+}
 
-    // Q/K/V projections, each fused across the N requests (request i
-    // draws its wq, then wk, then wv stream, whatever else rides in
-    // the batch).
-    std::vector<Matrix> q = wq_.forwardBatch(xs, ctxs);
+void
+MultiHeadSelfAttention::appendKvBatch(
+    const std::vector<Matrix> &xs,
+    const std::vector<AttentionKvCache *> &kvs,
+    const std::vector<RunContext *> &ctxs) const
+{
+    // Each projection fused across the N requests (request i draws
+    // its wk, then its wv stream, whatever else rides in the batch).
     std::vector<Matrix> k = wk_.forwardBatch(xs, ctxs);
     std::vector<Matrix> v = wv_.forwardBatch(xs, ctxs);
 
-    // Per request: append this token's per-head K/V to ITS tail — an
-    // amortized O(dk) row write to each dense mirror, plus (on
-    // encoded-operand backends) an O(dk) packed append to the encoded
-    // mirrors — and build the per-head query rows, all in the
-    // quantized operand domain.
-    const bool encoded = backend->supportsKvPlans();
-    std::vector<std::vector<Matrix>> qh(n);
-    for (size_t i = 0; i < n; ++i) {
+    // Per request: append this token's per-head K/V to ITS tail, in
+    // the quantized operand domain.
+    GemmBackend &backend = *ctxs.front()->backend;
+    const bool encoded = backend.supportsKvPlans();
+    for (size_t i = 0; i < xs.size(); ++i) {
         KvLayerSegment &tail = kvs[i]->tail;
         if (tail.k.size() != heads_) {
             tail.k.assign(heads_, Matrix());
             tail.v.assign(heads_, Matrix());
             tail.tokens = 0;
         }
-        prepareKvEncoded(tail, *backend);
-        qh[i].resize(heads_);
+        prepareKvEncoded(tail, backend);
         for (size_t h = 0; h < heads_; ++h) {
-            Matrix q_row = sliceCols(q[i], h * dk_, dk_);
             Matrix k_row = sliceCols(k[i], h * dk_, dk_);
             Matrix v_row = sliceCols(v[i], h * dk_, dk_);
             if (ctxs[i]->quant.enabled) {
-                int bits = ctxs[i]->quant.act_bits;
-                q_row = fakeQuant(q_row, bits);
-                k_row = fakeQuant(k_row, bits);
-                v_row = fakeQuant(v_row, bits);
+                k_row = fakeQuant(k_row, ctxs[i]->quant.act_bits);
+                v_row = fakeQuant(v_row, ctxs[i]->quant.act_bits);
             }
             appendRow(tail.k[h], k_row);
             appendRow(tail.v[h], v_row);
             if (encoded)
-                syncKvEncodedHead(*kvs[i], h, k_row, v_row, *backend);
-            qh[i][h] = std::move(q_row);
+                syncKvEncodedHead(*kvs[i], h, k_row, v_row, backend);
         }
         tail.tokens += 1;
     }
+}
+
+void
+MultiHeadSelfAttention::ingestStepBatch(
+    const std::vector<Matrix> &xs,
+    const std::vector<AttentionKvCache *> &kvs,
+    const std::vector<RunContext *> &ctxs) const
+{
+    const auto parts = decodeParts(xs, kvs, ctxs);
+    if (xs.empty())
+        return;
+    for (RunContext *ctx : ctxs)
+        ctx->stream.skip(1); // wq
+    appendKvBatch(xs, kvs, ctxs);
+    // QK^T and AV per (head, part), then WO.
+    for (size_t i = 0; i < xs.size(); ++i)
+        ctxs[i]->stream.skip(2 * heads_ * parts[i].size() + 1);
+}
+
+std::vector<Matrix>
+MultiHeadSelfAttention::decodeStepBatch(
+    const std::vector<Matrix> &xs,
+    const std::vector<AttentionKvCache *> &kvs,
+    const std::vector<RunContext *> &ctxs) const
+{
+    // A request's context is its K/V parts in position order: the
+    // mapped shared segment, if any, then its private tail.
+    const auto parts = decodeParts(xs, kvs, ctxs);
+    const size_t n = xs.size();
+    if (n == 0)
+        return {};
+    GemmBackend *backend = ctxs.front()->backend;
+
+    // The Q projection fused across the N requests (request i draws
+    // its wq stream before its wk and wv ones), then the K/V half an
+    // ingest step runs too, then the per-head query rows, quantized.
+    std::vector<Matrix> q = wq_.forwardBatch(xs, ctxs);
+    appendKvBatch(xs, kvs, ctxs);
+    std::vector<std::vector<Matrix>> qh(n);
+    for (size_t i = 0; i < n; ++i) {
+        qh[i].resize(heads_);
+        for (size_t h = 0; h < heads_; ++h) {
+            qh[i][h] = sliceCols(q[i], h * dk_, dk_);
+            if (ctxs[i]->quant.enabled)
+                qh[i][h] =
+                    fakeQuant(qh[i][h], ctxs[i]->quant.act_bits);
+        }
+    }
 
     // A part dispatches packed only on mirrors built for this backend.
+    const bool encoded = backend->supportsKvPlans();
     auto packed = [&](const KvLayerSegment &part) {
         return encoded && part.encoded_backend_uid == backend->uid() &&
                part.ek_t.size() == heads_ && part.ev.size() == heads_;
@@ -892,28 +952,55 @@ TransformerBlock::backward(const Matrix &dy,
     return dx;
 }
 
+void
+TransformerBlock::forwardKv(const Matrix &x, TransformerBlockCache &cache,
+                            RunContext &ctx) const
+{
+    attn_.forwardKv(ln1_.forward(x, cache.ln1), cache.attn, ctx);
+    ctx.stream.skip(2); // fc1, fc2
+}
+
+namespace {
+
+/** LayerNorm is a row-wise pure function: run it per request
+ *  (scratch caches are inference-discarded). */
+std::vector<Matrix>
+normRows(const LayerNorm &ln, const std::vector<Matrix> &xs)
+{
+    LayerNormCache scratch;
+    std::vector<Matrix> normed(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i)
+        normed[i] = ln.forward(xs[i], scratch);
+    return normed;
+}
+
+} // namespace
+
 std::vector<Matrix>
 TransformerBlock::decodeStepBatch(
     const std::vector<Matrix> &xs,
     const std::vector<AttentionKvCache *> &kvs,
     const std::vector<RunContext *> &ctxs) const
 {
-    const size_t n = xs.size();
-    // LayerNorm and the residual adds are row-wise pure functions: run
-    // them per request (scratch caches are inference-discarded).
-    LayerNormCache ln_scratch;
-    std::vector<Matrix> normed(n);
-    for (size_t i = 0; i < n; ++i)
-        normed[i] = ln1_.forward(xs[i], ln_scratch);
-    std::vector<Matrix> h = attn_.decodeStepBatch(normed, kvs, ctxs);
-    for (size_t i = 0; i < n; ++i)
+    std::vector<Matrix> h =
+        attn_.decodeStepBatch(normRows(ln1_, xs), kvs, ctxs);
+    for (size_t i = 0; i < xs.size(); ++i)
         addInPlace(h[i], xs[i]);
-    for (size_t i = 0; i < n; ++i)
-        normed[i] = ln2_.forward(h[i], ln_scratch);
-    std::vector<Matrix> y = ffn_.forwardBatch(normed, ctxs);
-    for (size_t i = 0; i < n; ++i)
+    std::vector<Matrix> y = ffn_.forwardBatch(normRows(ln2_, h), ctxs);
+    for (size_t i = 0; i < xs.size(); ++i)
         addInPlace(y[i], h[i]);
     return y;
+}
+
+void
+TransformerBlock::ingestStepBatch(
+    const std::vector<Matrix> &xs,
+    const std::vector<AttentionKvCache *> &kvs,
+    const std::vector<RunContext *> &ctxs) const
+{
+    attn_.ingestStepBatch(normRows(ln1_, xs), kvs, ctxs);
+    for (RunContext *ctx : ctxs)
+        ctx->stream.skip(2); // fc1, fc2
 }
 
 void

@@ -17,9 +17,13 @@
  * the noisy photonic DPTC functional model. Each product draws its
  * noise-stream id from the RunContext's NoiseStream in fixed call
  * order, making noisy results independent of thread scheduling and of
- * concurrent requests. Quantization follows the paper's noise-aware
- * training recipe: weights and activations are fake-quantized in
- * forward, gradients pass straight through (STE).
+ * concurrent requests. A product skipped because nobody reads its
+ * result (the K/V-only forwardKv / ingestStepBatch halves) still
+ * claims its id, in the same order (NoiseStream::skip), so every later
+ * product draws the id it draws after the full pass. Quantization
+ * follows the paper's noise-aware training recipe: weights and
+ * activations are fake-quantized in forward, gradients pass straight
+ * through (STE).
  */
 
 #ifndef LT_NN_LAYERS_HH
@@ -267,6 +271,17 @@ class MultiHeadSelfAttention
     Matrix backward(const Matrix &dy, const AttentionCache &cache);
 
     /**
+     * K/V-only forward, for a caller that keeps only the K/V: fills
+     * cache.k / cache.v exactly as forward() does, through the same
+     * code. The Q projection, QK^T, softmax, AV and WO are skipped;
+     * their stream ids are claimed in forward()'s order (wq's before
+     * wk's, then one per head for QK^T and for AV, then WO's), so ctx
+     * leaves on the id forward() would leave it on.
+     */
+    void forwardKv(const Matrix &x, AttentionCache &cache,
+                   RunContext &ctx) const;
+
+    /**
      * Incremental decode — the one decode implementation. Runs one new
      * token row [1, dim] per request, each against its own K/V cache
      * and noise lane. Each row's K/V are appended to its cache's tail
@@ -293,6 +308,20 @@ class MultiHeadSelfAttention
                     const std::vector<RunContext *> &ctxs) const;
 
     /**
+     * Ingest step, for rows whose attention output nobody reads: the
+     * K/V half of decodeStepBatch(). Each row's K/V are appended to
+     * its tail, dense and packed mirrors, by the code decodeStepBatch()
+     * runs, so kvs[i] ends bit-identical to the full step's. The Q
+     * projection, QK^T, softmax, AV and WO are skipped; request i
+     * claims their stream ids in the full step's order (wq's before
+     * wk's, then two per (head, part) and WO's). Validates and throws
+     * as decodeStepBatch() does.
+     */
+    void ingestStepBatch(const std::vector<Matrix> &xs,
+                         const std::vector<AttentionKvCache *> &kvs,
+                         const std::vector<RunContext *> &ctxs) const;
+
+    /**
      * Seed a K/V segment — a session's tail or a shared prefix — from
      * a forward's caches (the per-head quantized K/V the forward
      * already materialized) and, when the backend executes encoded
@@ -312,6 +341,35 @@ class MultiHeadSelfAttention
     bool causal() const { return causal_; }
 
   private:
+    /**
+     * The K/V half of forward() and forwardKv(): the wk and wv
+     * projections, sliced per head and quantized into cache.k /
+     * cache.v.
+     */
+    void projectKv(const Matrix &x, AttentionCache &cache,
+                   RunContext &ctx) const;
+
+    /**
+     * Validate a decode batch and return each request's K/V parts in
+     * position order: the mapped shared segment, if any, then the
+     * tail.
+     */
+    std::vector<std::vector<const KvLayerSegment *>>
+    decodeParts(const std::vector<Matrix> &xs,
+                const std::vector<AttentionKvCache *> &kvs,
+                const std::vector<RunContext *> &ctxs) const;
+
+    /**
+     * The K/V half of decodeStepBatch() and ingestStepBatch(): the wk
+     * and wv projections fused across the requests, then each row's
+     * per-head K/V, quantized, appended to its tail (an amortized
+     * O(dk) row write per dense mirror and, on encoded-operand
+     * backends, an O(dk) packed append per encoded one).
+     */
+    void appendKvBatch(const std::vector<Matrix> &xs,
+                       const std::vector<AttentionKvCache *> &kvs,
+                       const std::vector<RunContext *> &ctxs) const;
+
     /**
      * Activate (or deactivate) seg's encoded mirrors for `backend`:
      * sizes the per-head operand vectors and re-homes them when the
@@ -394,6 +452,23 @@ class TransformerBlock
     decodeStepBatch(const std::vector<Matrix> &xs,
                     const std::vector<AttentionKvCache *> &kvs,
                     const std::vector<RunContext *> &ctxs) const;
+
+    /**
+     * K/V-only forward (MultiHeadSelfAttention::forwardKv): LN1 and
+     * the attention's K/V. LN2 and the FFN are skipped; fc1's and
+     * fc2's stream ids are claimed.
+     */
+    void forwardKv(const Matrix &x, TransformerBlockCache &cache,
+                   RunContext &ctx) const;
+
+    /**
+     * Ingest step (MultiHeadSelfAttention::ingestStepBatch): LN1 and
+     * the K/V append. The residuals, LN2 and the FFN are skipped;
+     * fc1's and fc2's stream ids are claimed.
+     */
+    void ingestStepBatch(const std::vector<Matrix> &xs,
+                         const std::vector<AttentionKvCache *> &kvs,
+                         const std::vector<RunContext *> &ctxs) const;
 
     const MultiHeadSelfAttention &attention() const { return attn_; }
 

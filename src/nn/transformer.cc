@@ -44,8 +44,7 @@ TransformerClassifier::TransformerClassifier(const TransformerConfig &cfg)
 }
 
 Matrix
-TransformerClassifier::forwardCommon(Matrix x, ActivationWorkspace &ws,
-                                     RunContext &ctx) const
+TransformerClassifier::positioned(Matrix x, ActivationWorkspace &ws) const
 {
     const bool use_cls = cfg_.pooling == Pooling::ClsToken;
     size_t tokens = x.rows() + (use_cls ? 1 : 0);
@@ -73,6 +72,15 @@ TransformerClassifier::forwardCommon(Matrix x, ActivationWorkspace &ws,
     ws.tokens = tokens;
     if (ws.blocks.size() != blocks_.size())
         ws.blocks.resize(blocks_.size());
+    return seq;
+}
+
+Matrix
+TransformerClassifier::forwardCommon(Matrix x, ActivationWorkspace &ws,
+                                     RunContext &ctx) const
+{
+    Matrix seq = positioned(std::move(x), ws);
+    const size_t tokens = seq.rows();
     for (size_t i = 0; i < blocks_.size(); ++i)
         seq = blocks_[i]->forward(seq, ws.blocks[i], ctx);
     Matrix normed = final_ln_.forward(seq, ws.final_ln);
@@ -131,6 +139,23 @@ TransformerClassifier::forwardSequence(const std::vector<int> &tokens,
     ws.last_was_vision = false;
     Matrix x = token_embed_->forward(tokens, ws.token_embed);
     return forwardCommon(std::move(x), ws, ctx);
+}
+
+void
+TransformerClassifier::forwardSequenceKv(const std::vector<int> &tokens,
+                                         ActivationWorkspace &ws,
+                                         RunContext &ctx) const
+{
+    ws.last_was_vision = false;
+    Matrix seq =
+        positioned(token_embed_->forward(tokens, ws.token_embed), ws);
+    for (size_t i = 0; i < blocks_.size(); ++i) {
+        if (i + 1 < blocks_.size())
+            seq = blocks_[i]->forward(seq, ws.blocks[i], ctx);
+        else
+            blocks_[i]->forwardKv(seq, ws.blocks[i], ctx);
+    }
+    ctx.stream.skip(1); // the head, after the skipped final LN
 }
 
 namespace {

@@ -146,8 +146,24 @@ class TransformerClassifier
     friend class InferenceSession;
     friend class BatchedDecoder;
 
+    /** Prepend the CLS token (ClsToken pooling), add positions and
+     *  size `ws`; throws std::invalid_argument on an empty or
+     *  over-long sequence. */
+    Matrix positioned(Matrix x, ActivationWorkspace &ws) const;
+
     Matrix forwardCommon(Matrix x, ActivationWorkspace &ws,
                          RunContext &ctx) const;
+
+    /**
+     * forwardSequence() cut to what a shared K/V prefix keeps: blocks
+     * 0..depth-2 run in full and the last block runs forwardKv, so
+     * `ws` holds every layer's K/V (the last layer's attention cache
+     * holds only K/V) and no logits are made. Every skipped product,
+     * the head included, claims its stream id, in forward order.
+     */
+    void forwardSequenceKv(const std::vector<int> &tokens,
+                           ActivationWorkspace &ws,
+                           RunContext &ctx) const;
 
     TransformerConfig cfg_;
     Rng init_rng_;

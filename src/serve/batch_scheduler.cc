@@ -432,10 +432,11 @@ BatchScheduler::replayActiveSessions()
             model_, backend_, quant_, a.pending.id);
         prefillTo(a, a.pending.request.prompt.size());
         // Re-ingest every generated token except the last: that one
-        // is the feed of the step being retried. The replayed logits
-        // are discarded — identical to the ones already recorded.
+        // is the feed of the step being retried. Nobody reads the
+        // replayed logits (they equal the recorded ones), so each
+        // token takes the K/V-only ingest step.
         for (size_t i = 0; i + 1 < a.generated.size(); ++i)
-            a.session->decodeStep(a.generated[i]);
+            a.session->ingestStep(a.generated[i]);
         if (pool_)
             pool_->noteContext(a.admission.table,
                                a.session->contextLen());

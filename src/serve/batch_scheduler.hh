@@ -200,9 +200,10 @@ class BatchScheduler
      *  exhausted, or a non-transient batch-wide exception). */
     void failActiveBatch(std::exception_ptr err);
     /** Rebuild every active session from its prompt and replay the
-     *  tokens generated so far — bit-identical thanks to per-request
-     *  noise lanes — to restore consistent KV state after a decode
-     *  step died mid-flight. */
+     *  tokens generated so far (through ingest steps: nobody reads
+     *  their logits) — bit-identical thanks to per-request noise
+     *  lanes — to restore consistent KV state after a decode step
+     *  died mid-flight. */
     void replayActiveSessions();
 
     const nn::TransformerClassifier &model_;

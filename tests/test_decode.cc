@@ -564,6 +564,43 @@ TEST(DecodeKvCache, KvPlansOnOffBitIdenticalAtEveryThreadCount)
     ThreadPool::setGlobalThreads(0);
 }
 
+TEST(DecodeKvCache, BatchedIngestOverMixedPartsEqualsSoloSteps)
+{
+    // BatchedDecoder::ingest over a batch mixing a 2-part context (a
+    // mapped prefix, then the tail) with a 1-part one: each request
+    // claims its own skipped ids (two per head and part), so every
+    // session ends where its solo full steps leave it, and the next
+    // step's logits agree bitwise.
+    nn::TransformerClassifier model(decoderConfig());
+    core::DptcConfig dcfg;
+    dcfg.input_bits = 8;
+    nn::ExecutionEngine engine(dcfg, core::EvalMode::Noisy);
+    const nn::QuantConfig quant = nn::QuantConfig::w8a8();
+    nn::SessionKvPlan plan;
+    plan.prefix = nn::InferenceSession::buildKvPrefix(model, engine,
+                                                      quant, {1, 2, 3});
+
+    nn::InferenceSession mapped(model, engine, quant, 11);
+    nn::InferenceSession plain(model, engine, quant, 12);
+    nn::InferenceSession mapped_solo(model, engine, quant, 11);
+    nn::InferenceSession plain_solo(model, engine, quant, 12);
+    mapped.prefill({1, 2, 3, 5}, plan);
+    mapped_solo.prefill({1, 2, 3, 5}, plan);
+    plain.prefill({6, 7});
+    plain_solo.prefill({6, 7});
+    for (int t = 0; t < 3; ++t) {
+        nn::BatchedDecoder::ingest({&mapped, &plain}, {8 + t, 12 + t});
+        mapped_solo.decodeStep(8 + t);
+        plain_solo.decodeStep(12 + t);
+    }
+    EXPECT_EQ(mapped.contextLen(), mapped_solo.contextLen());
+    EXPECT_EQ(plain.contextLen(), plain_solo.contextLen());
+    std::vector<Matrix> logits =
+        nn::BatchedDecoder::step({&mapped, &plain}, {20, 21});
+    EXPECT_EQ(logits[0].maxAbsDiff(mapped_solo.decodeStep(20)), 0.0);
+    EXPECT_EQ(logits[1].maxAbsDiff(plain_solo.decodeStep(21)), 0.0);
+}
+
 TEST(DecodeKvCache, EncodedBlockPointersStableAcrossMaxTokensAppends)
 {
     // AttentionKvCache::reserve pre-sizes the packed encoded blocks

@@ -981,6 +981,122 @@ TEST(Serve, DeadAndStuckReplicasRecoverWithoutFailingOrDegrading)
     }
 }
 
+TEST(Serve, DecodeStepFaultReplaysSessionsBitIdentically)
+{
+    // One fused decode step throws EngineFaultError exactly once: a
+    // replica with an intermittent dead shard, no tile retries, and
+    // quarantine on its first detection, so the first fault escapes
+    // the engine and every later product avoids the replica. The fault
+    // seed puts that detection in the sixth decode tick. The scheduler
+    // replays every decoding session (its prompt, then its generated
+    // tokens but the feed, through ingest steps) and re-runs the
+    // step; tokens and logits must equal a fault-free server's bit for
+    // bit.
+    nn::TransformerClassifier model(lmConfig());
+    const size_t kRequests = 4, kPrompt = 6, kNew = 8;
+
+    struct Served
+    {
+        std::vector<serve::RequestResult> results;
+        serve::MetricsSnapshot metrics;
+        std::vector<obs::TraceEvent> step_retries;
+        size_t tokens_before_retry = 0; ///< "req/token" instants
+        size_t ingests_after_retry = 0; ///< "session/ingest_step" spans
+    };
+    auto serveAll = [&](nn::ExecutionEngine &engine) {
+        serve::ServerConfig scfg;
+        scfg.scheduler.max_batch = kRequests;
+        scfg.scheduler.prefill_chunk_tokens = 2;
+        scfg.scheduler.step_retry_backoff = std::chrono::milliseconds(0);
+        scfg.quant = nn::QuantConfig::w8a8();
+        obs::TraceRecorder recorder(1 << 16);
+        obs::installRecorder(&recorder);
+        Served served;
+        {
+            serve::Server server(model, engine, scfg);
+            std::vector<std::future<serve::RequestResult>> futures;
+            for (uint64_t id = 0; id < kRequests; ++id) {
+                serve::Request req;
+                req.prompt =
+                    promptFor(id, kPrompt, model.config().vocab_size);
+                req.max_new_tokens = kNew;
+                req.record_logits = true;
+                req.request_id = id;
+                futures.push_back(server.submit(std::move(req)));
+            }
+            server.runUntilIdle();
+            for (auto &f : futures)
+                served.results.push_back(f.get());
+            served.metrics = server.metrics();
+        }
+        obs::installRecorder(nullptr);
+        EXPECT_EQ(recorder.droppedEvents(), 0u);
+        for (const auto &lane : recorder.snapshot())
+            for (const obs::TraceEvent &e : lane.events) {
+                const std::string name = e.name;
+                if (name == "fault/step_retry")
+                    served.step_retries.push_back(e);
+                else if (name == "req/token" && served.step_retries.empty())
+                    ++served.tokens_before_retry;
+                else if (name == "session/ingest_step" &&
+                         !served.step_retries.empty())
+                    ++served.ingests_after_retry;
+            }
+        return served;
+    };
+
+    nn::EngineConfig fcfg;
+    fcfg.dptc = noisyDptc();
+    fcfg.num_cores = 2;
+    fcfg.faults.enabled = true;
+    fcfg.faults.seed = 14;
+    fcfg.faults.replicas.resize(2);
+    fcfg.faults.replicas[1].dead = true;
+    fcfg.faults.replicas[1].activation_prob = 0.005;
+    fcfg.fault_policy.max_tile_retries = 0;
+    fcfg.fault_policy.quarantine_threshold = 1;
+    nn::ExecutionEngine faulty(fcfg);
+    const Served got = serveAll(faulty);
+
+    nn::EngineConfig ccfg = fcfg;
+    ccfg.faults = core::FaultConfig{};
+    nn::ExecutionEngine clean(ccfg);
+    const Served want = serveAll(clean);
+
+    // Exactly one retry, and it was the fused decode step's: only that
+    // retry's instant carries the batch size.
+    EXPECT_EQ(got.metrics.engine_step_retries, 1u);
+    EXPECT_EQ(got.metrics.request_failures, 0u);
+    EXPECT_EQ(faulty.status().quarantined_replicas, 1u);
+    ASSERT_EQ(got.step_retries.size(), 1u);
+    const obs::TraceEvent &retry = got.step_retries.front();
+    ASSERT_EQ(retry.numArgs(), 2u);
+    EXPECT_STREQ(retry.arg_names[1], "batch");
+    EXPECT_EQ(retry.args[1], static_cast<int64_t>(kRequests));
+    EXPECT_EQ(want.metrics.engine_step_retries, 0u);
+
+    // The replay ran ingest steps for each prompt's tokens 1..4 (its
+    // one whole-prompt chunk) and for every generated token but the
+    // feed: one per req/token instant before the fault.
+    EXPECT_EQ(got.tokens_before_retry, 5 * kRequests);
+    EXPECT_EQ(got.ingests_after_retry,
+              kRequests * (kPrompt - 2) + got.tokens_before_retry);
+
+    ASSERT_EQ(got.results.size(), kRequests);
+    ASSERT_EQ(want.results.size(), kRequests);
+    for (size_t i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(got.results[i].generated, want.results[i].generated)
+            << "req " << i;
+        ASSERT_EQ(got.results[i].step_logits.size(), kNew);
+        ASSERT_EQ(want.results[i].step_logits.size(), kNew);
+        for (size_t s = 0; s < kNew; ++s)
+            EXPECT_EQ(got.results[i].step_logits[s].maxAbsDiff(
+                          want.results[i].step_logits[s]),
+                      0.0)
+                << "req " << i << " step " << s;
+    }
+}
+
 TEST(Serve, PersistentEngineFailureFailsRequestsNotTheServer)
 {
     // Every replica dead and quarantine out of reach: prefill faults
