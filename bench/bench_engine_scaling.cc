@@ -307,19 +307,27 @@ runRngMicrobench()
     return res;
 }
 
-/** The decode-regime cache comparison (see file header). */
-DecodeResult
-runDecodeScenario()
+/** Shape of the decode rows (see file header): a 256-dim causal LM
+ *  decoding kSteps tokens after a kPrompt-token prompt. */
+constexpr size_t kDecodeDim = 256;
+constexpr size_t kPrompt = 96;
+constexpr size_t kSteps = 32;
+
+/** What every decode row runs: the engine's noise config, the model,
+ *  its prompt, and the token fed at each step. */
+struct DecodeWorkload
 {
-    constexpr size_t kDecodeDim = 256;
-    constexpr size_t kPrompt = 96;
-    constexpr size_t kSteps = 32;
-    constexpr int kDecodeReps = 6;
-
     core::DptcConfig dcfg;
-    dcfg.input_bits = 8;
-    dcfg.noise.enable_encoding_noise = false;
+    nn::TransformerClassifier model;
+    std::vector<int> prompt;
+    std::vector<int> next;
 
+    DecodeWorkload();
+};
+
+nn::TransformerConfig
+decodeModelConfig()
+{
     nn::TransformerConfig mcfg;
     mcfg.dim = kDecodeDim;
     mcfg.depth = 2;
@@ -330,15 +338,28 @@ runDecodeScenario()
     mcfg.max_tokens = kPrompt + kSteps;
     mcfg.pooling = nn::Pooling::LastToken;
     mcfg.causal = true;
-    nn::TransformerClassifier model(mcfg);
+    return mcfg;
+}
+
+DecodeWorkload::DecodeWorkload()
+    : model(decodeModelConfig()), prompt(kPrompt), next(kSteps)
+{
+    dcfg.input_bits = 8;
+    dcfg.noise.enable_encoding_noise = false;
 
     Rng rng(0xDEC0DE);
-    std::vector<int> prompt(kPrompt);
     for (int &t : prompt)
         t = static_cast<int>(rng.uniformInt(0, 255));
-    std::vector<int> next(kSteps);
     for (int &t : next)
         t = static_cast<int>(rng.uniformInt(0, 255));
+}
+
+/** The decode-regime cache comparison (see file header). */
+DecodeResult
+runDecodeScenario()
+{
+    constexpr int kDecodeReps = 6;
+    const auto &[dcfg, model, prompt, next] = DecodeWorkload();
 
     // One engine per cache state; same request id everywhere, so the
     // three columns must agree bit-for-bit at every step.
@@ -448,6 +469,7 @@ runDecodeScenario()
         2 * kDecodeDim * sizeof(double);
     res.kv_context_tokens = kPrompt + kSteps;
     res.kv_block_tokens = kBlockTokens;
+    const nn::TransformerConfig &mcfg = model.config();
     res.kv_dense_reserve_bytes =
         mcfg.max_tokens * mcfg.depth * bytes_per_token_layer;
     res.kv_paged_resident_bytes =
@@ -528,34 +550,8 @@ runFaultGate(const Matrix &a, const Matrix &b)
 double
 runTracedDecodeMsPerStep(uint64_t *dropped)
 {
-    constexpr size_t kDecodeDim = 256;
-    constexpr size_t kPrompt = 96;
-    constexpr size_t kSteps = 32;
     constexpr int kDecodeReps = 3;
-
-    core::DptcConfig dcfg;
-    dcfg.input_bits = 8;
-    dcfg.noise.enable_encoding_noise = false;
-
-    nn::TransformerConfig mcfg;
-    mcfg.dim = kDecodeDim;
-    mcfg.depth = 2;
-    mcfg.heads = 8;
-    mcfg.mlp_hidden = 2 * kDecodeDim;
-    mcfg.num_classes = 256;
-    mcfg.vocab_size = 256;
-    mcfg.max_tokens = kPrompt + kSteps;
-    mcfg.pooling = nn::Pooling::LastToken;
-    mcfg.causal = true;
-    nn::TransformerClassifier model(mcfg);
-
-    Rng rng(0xDEC0DE);
-    std::vector<int> prompt(kPrompt);
-    for (int &t : prompt)
-        t = static_cast<int>(rng.uniformInt(0, 255));
-    std::vector<int> next(kSteps);
-    for (int &t : next)
-        t = static_cast<int>(rng.uniformInt(0, 255));
+    const auto &[dcfg, model, prompt, next] = DecodeWorkload();
 
     nn::ExecutionEngine engine(
         nn::EngineConfig{dcfg, core::EvalMode::Noisy, 8, true, true});

@@ -117,9 +117,10 @@ class Dptc
      * This is the pre-packing implementation (strided B-column
      * gathers, per-slice scratch), kept as the golden reference the
      * packed overload below is pinned bit-identical against (tests)
-     * and as the "cache off" column of bench_engine_scaling's
-     * decode-regime scenario. Hot paths use the EncodedOperand
-     * overload.
+     * and as ExecutionEngine's digital fallback once every replica is
+     * quarantined. Every other engine product runs the EncodedOperand
+     * overload, bench_engine_scaling's "cache off" decode column
+     * included (it re-encodes the operands per call).
      *
      * @param scale multiplies every output (beta_a * beta_b; 1 for
      *        Ideal mode on raw operands)

@@ -25,7 +25,6 @@
 #ifndef LT_NN_ACTIVATION_WORKSPACE_HH
 #define LT_NN_ACTIVATION_WORKSPACE_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -161,13 +160,14 @@ struct AttentionKvCache
      * amortized O(1) inside reserved vectors, and the encoded mirrors
      * pre-size their packed-block storage (k-tile stride included), so
      * the block backing pointers stay stable across the whole decode.
-     * InferenceSession calls this once per layer when the tail holds
-     * its first token (an append into an empty Matrix replaces it).
+     * MultiHeadSelfAttention::appendKvBatch applies reserved_tokens
+     * right after a tail's first append (an append into an empty
+     * Matrix replaces it); a seeded tail is reserved after seeding.
      */
     void
     reserve(size_t max_tokens)
     {
-        reserved_tokens = std::max(reserved_tokens, max_tokens);
+        reserved_tokens = max_tokens;
         for (Matrix &k_h : tail.k)
             k_h.reserve(max_tokens * k_h.cols());
         for (Matrix &v_h : tail.v)

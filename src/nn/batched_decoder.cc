@@ -61,11 +61,6 @@ BatchedDecoder::advance(const std::vector<InferenceSession *> &sessions,
                 "BatchedDecoder::step: all sessions must share one "
                 "backend");
         }
-        if (s->len_ == 0)
-            throw std::invalid_argument(
-                "BatchedDecoder::step: session " + std::to_string(i) +
-                " is not prefilled — a fresh session's first token is "
-                "full-sequence prefill traffic, not a decode step");
         if (s->len_ + 1 > model->config().max_tokens)
             throw std::invalid_argument(
                 "BatchedDecoder::step: session " + std::to_string(i) +
@@ -121,6 +116,8 @@ BatchedDecoder::advance(const std::vector<InferenceSession *> &sessions,
             InferenceSession &s = *sessions[i];
             Matrix normed = model->final_ln_.forward(xs[i], ln_scratch);
             if (cfg.pooling == Pooling::Mean) {
+                if (s.len_ == 0)
+                    s.pooled_sum_ = Matrix(1, cfg.dim, 0.0);
                 pooled[i] = Matrix(1, cfg.dim);
                 for (size_t c = 0; c < cfg.dim; ++c) {
                     s.pooled_sum_(0, c) += normed(0, c);

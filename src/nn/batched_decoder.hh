@@ -15,7 +15,9 @@
  *
  * This is the only decode implementation: InferenceSession::decodeStep
  * is step() over a batch of one, and ingest() is step() cut short for
- * callers that discard the logits (InferenceSession::ingestStep).
+ * callers that discard the logits (InferenceSession::ingestStep). It
+ * also starts sessions: a session's first token needs no datapath of
+ * its own, since every token's K and V are dynamic operands.
  *
  * Correctness contract (the headline): because stream-addressed
  * products are pure functions of (operands, config, stream) and each
@@ -45,15 +47,16 @@ class BatchedDecoder
      * Advance every session one decode step in lockstep: session i
      * ingests tokens[i] and receives the logits a batch holding it
      * alone would return, bit-identically; the sessions' K/V caches
-     * and noise lanes advance exactly as in those solo steps.
+     * and noise lanes advance exactly as in those solo steps. A
+     * session that holds no tokens yet takes its first token here
+     * like any other: its tail mirrors are created (and reserved) by
+     * that append, and Mean pooling starts its running sum.
      *
      * Requirements (std::invalid_argument otherwise): at least one
      * session; one token per session; no duplicate sessions; all
-     * sessions share one model and one backend; every session is
-     * prefilled (a fresh session's first token is a prefill, which is
-     * full-sequence traffic, not decode); and no session's context may
-     * exceed TransformerConfig::max_tokens. Validation happens before
-     * any session is touched.
+     * sessions share one model and one backend; and no session's
+     * context may exceed TransformerConfig::max_tokens. Validation
+     * happens before any session is touched.
      */
     static std::vector<Matrix>
     step(const std::vector<InferenceSession *> &sessions,

@@ -92,13 +92,10 @@ InferenceSession::InferenceSession(const TransformerClassifier &model,
     if (cfg.pooling == Pooling::ClsToken)
         throw std::invalid_argument(
             "InferenceSession requires Mean or LastToken pooling");
+    // Without a plan a tail reserves the whole positional table.
     kv_.resize(cfg.depth);
-}
-
-Matrix
-InferenceSession::prefill(const std::vector<int> &tokens)
-{
-    return prefill(tokens, SessionKvPlan{});
+    for (AttentionKvCache &kv : kv_)
+        kv.reserved_tokens = cfg.max_tokens;
 }
 
 Matrix
@@ -144,7 +141,7 @@ InferenceSession::prefill(const std::vector<int> &tokens,
     return logits;
 }
 
-size_t
+void
 InferenceSession::mapPrefix(const std::vector<int> &tokens,
                             const SessionKvPlan &plan)
 {
@@ -170,9 +167,7 @@ InferenceSession::mapPrefix(const std::vector<int> &tokens,
             "prefill: KvPrefix lacks the pooled state Mean pooling "
             "needs");
 
-    // The request's private tail only ever holds its own tokens; the
-    // packed mirrors pick this reservation up on their first
-    // (seeding) encode.
+    // The request's private tail only ever holds its own tokens.
     const size_t reserve_tokens = reservedContext(plan, cfg);
     const size_t tail_reserve =
         reserve_tokens > p ? reserve_tokens - p : 0;
@@ -186,14 +181,6 @@ InferenceSession::mapPrefix(const std::vector<int> &tokens,
     tokens_.assign(tokens.begin(),
                    tokens.begin() + static_cast<std::ptrdiff_t>(p));
     len_ = p;
-    return tail_reserve;
-}
-
-Matrix
-InferenceSession::prefillChunk(const std::vector<int> &tokens,
-                               size_t begin, size_t end)
-{
-    return prefillChunk(tokens, begin, end, SessionKvPlan{});
 }
 
 Matrix
@@ -230,47 +217,31 @@ InferenceSession::prefillChunk(const std::vector<int> &tokens,
             " tokens exceeds max_tokens = " +
             std::to_string(cfg.max_tokens));
 
+    // The plan sets the reservation the first tail token applies.
+    if (len_ == 0 && plan.prefix) {
+        // Mapped prefix positions are free; the first chunk must run
+        // at least one real suffix token past them.
+        const size_t p = plan.prefix->length();
+        if (end <= p)
+            throw std::invalid_argument(
+                "prefillChunk: first chunk ends at token " +
+                std::to_string(end) + " inside the shared prefix of " +
+                std::to_string(p) + " tokens");
+        mapPrefix(tokens, plan);
+    } else if (len_ == 0) {
+        for (AttentionKvCache &kv : kv_)
+            kv.reserved_tokens = reservedContext(plan, cfg);
+    }
+
     // Only the chunk's last token returns logits; every position
     // before it ingests its K/V alone (ingestStep).
     Matrix logits;
-    auto ingestAt = [&](size_t pos) {
-        if (pos + 1 < end)
-            ingestStep(tokens[pos]);
+    for (size_t i = len_; i < end; ++i) {
+        if (i + 1 < end)
+            ingestStep(tokens[i]);
         else
-            logits = decodeStep(tokens[pos]);
-    };
-    size_t i = begin;
-    if (len_ == 0) {
-        if (!plan.prefix) {
-            // The first token seeds the caches through the one-token
-            // prefill — bit-identical to a decode-path ingest (same
-            // stream draw order, same K/V encode schedule) — carrying
-            // the plan's right-sized reservation.
-            logits = prefill({tokens[0]}, plan);
-            i = 1;
-        } else {
-            // Mapped prefix positions are free; the first chunk must
-            // run at least one real suffix token past them, through
-            // the incremental decode path on this request's own lane.
-            const size_t p = plan.prefix->length();
-            if (end <= p)
-                throw std::invalid_argument(
-                    "prefillChunk: first chunk ends at token " +
-                    std::to_string(end) +
-                    " inside the shared prefix of " +
-                    std::to_string(p) + " tokens");
-            const size_t tail_reserve = mapPrefix(tokens, plan);
-            // The first suffix token creates the tail mirrors; reserve
-            // their backing right after (an append into an empty
-            // Matrix replaces it, so reserving earlier would be lost).
-            ingestAt(p);
-            for (AttentionKvCache &kv : kv_)
-                kv.reserve(tail_reserve);
-            i = p + 1;
-        }
+            logits = decodeStep(tokens[i]);
     }
-    for (; i < end; ++i)
-        ingestAt(i);
     return logits;
 }
 
@@ -324,8 +295,6 @@ InferenceSession::buildKvPrefix(const TransformerClassifier &model,
 Matrix
 InferenceSession::decodeStep(int token)
 {
-    if (len_ == 0)
-        return prefill({token});
     obs::TraceScope span("session/decode_step", request_id_,
                          "context",
                          static_cast<int64_t>(len_ + 1));
@@ -335,13 +304,6 @@ InferenceSession::decodeStep(int token)
 void
 InferenceSession::ingestStep(int token)
 {
-    // A fresh session's first token is the one-token prefill; Mean
-    // pooling's running sum needs every row's final LN. Both run the
-    // full step and drop its logits.
-    if (len_ == 0 || model_->config().pooling == Pooling::Mean) {
-        decodeStep(token);
-        return;
-    }
     obs::TraceScope span("session/ingest_step", request_id_,
                          "context",
                          static_cast<int64_t>(len_ + 1));

@@ -20,7 +20,11 @@
  * skinny per-head QK^T / AV products against the cache run through
  * GemmBackend::gemmBatch — the exact low-intensity traffic
  * nn/llm_workload.hh's analytic decodeStepWorkload() models
- * (bench_llm_decode cross-checks the two).
+ * (bench_llm_decode cross-checks the two). A session may also start
+ * without prefill(): its first decodeStep(), ingestStep() or
+ * prefillChunk() token is an ordinary step against an empty cache, as
+ * on the paper's DPTC, where every token's K and V are dynamic
+ * operands encoded on the fly.
  *
  * A position whose logits nobody reads (a prompt chunk's tokens before
  * its last, a shared prefix, a replayed token) needs only its K/V from
@@ -98,9 +102,9 @@ NoiseStream prefixLane(const std::vector<int> &tokens);
 
 /**
  * How prefill should provision K/V memory for one request. The
- * default plan (no prefix, reserve_tokens = 0) reproduces the
- * historical behavior byte-for-byte: no shared segments,
- * max_tokens-sized reservation.
+ * default plan (no prefix, reserve_tokens = 0) maps no shared segments
+ * and reserves the whole positional table, as a session started
+ * without a plan does.
  */
 struct SessionKvPlan
 {
@@ -135,27 +139,23 @@ class InferenceSession
 
     /**
      * Ingest the prompt (one full-sequence forward), seed the K/V
-     * cache, and return the prompt's logits [1, num_classes]. Must be
-     * the first call on a session; throws std::invalid_argument on an
-     * empty prompt, a too-long prompt, or a second prefill.
-     */
-    Matrix prefill(const std::vector<int> &tokens);
-
-    /**
-     * Prefill under an explicit K/V plan. With a shared prefix this is
+     * cache, reserve its backing for the plan's context, and return
+     * the prompt's logits [1, num_classes]. Must be the first call on
+     * a session.
+     *
+     * With a shared prefix in `plan` this is
      * prefillChunk(tokens, 0, tokens.size(), plan): the prefix's
      * tokens must equal the prompt's head (and leave at least one
      * suffix token); the session maps the prefix segments
      * copy-on-write — no forward runs over those positions — seeds the
      * pooled state from the prefix, reserves backing only for the
      * request's own tail, and ingests the suffix tokens through the
-     * incremental decode path on the request's own noise lane. Without
-     * a prefix this is the ordinary prefill with a right-sized
-     * reservation. Throws std::invalid_argument on a prompt/prefix
-     * mismatch or any ordinary prefill violation.
+     * incremental decode path on the request's own noise lane.
+     * Throws std::invalid_argument on an empty prompt, a too-long
+     * prompt, a second prefill, or a prompt/prefix mismatch.
      */
     Matrix prefill(const std::vector<int> &tokens,
-                   const SessionKvPlan &plan);
+                   const SessionKvPlan &plan = SessionKvPlan{});
 
     /**
      * Resumable partial prefill: ingest prompt tokens [begin, end) of
@@ -165,35 +165,28 @@ class InferenceSession
      * ticks instead of stalling them for the whole prompt.
      *
      * Chunks ingest token-by-token through the incremental decode
-     * path on the session's own noise lane: the chunk's last token
-     * takes the full decode step, whose logits are returned, and
-     * every token before it an ingestStep(), which stops at the last
-     * layer's K/V. Every position claims a fixed number of stream ids
-     * (a skipped product claims its id without running), so the
-     * result after the last chunk is bit-identical for ANY chunking
-     * of the same prompt (chunk size 1 == 3 == one whole-prompt
-     * chunk). `begin` must
-     * equal contextLen() (chunks resume where the previous one
-     * stopped; with a shared-prefix plan the mapped prefix counts, so
-     * the first chunk must extend past it). Returns the logits after
+     * path on the session's own noise lane, token 0 included: the
+     * chunk's last token takes the full decode step, whose logits are
+     * returned, and every token before it an ingestStep(), which stops
+     * at the last layer's K/V. Every position claims a fixed number of
+     * stream ids (a skipped product claims its id without running), so
+     * the result after the last chunk is bit-identical for ANY
+     * chunking of the same prompt (chunk size 1 == 3 == one
+     * whole-prompt chunk). `begin` must equal contextLen() (chunks
+     * resume where the previous one stopped). Returns the logits after
      * token end-1 — the first-token logits once end == tokens.size().
-     * Throws std::invalid_argument on an out-of-order or empty chunk,
-     * a prompt that disagrees with the tokens already ingested, or
-     * any ordinary prefill violation.
-     */
-    Matrix prefillChunk(const std::vector<int> &tokens, size_t begin,
-                        size_t end);
-
-    /**
-     * First-chunk variant carrying the request's K/V plan (shared
-     * prefix + right-sized reservation): the plan applies on the
+     *
+     * `plan` (shared prefix + right-sized reservation) applies on the
      * session's first chunk and is ignored once the session holds
-     * tokens. With a prefix of p tokens the first chunk must satisfy
-     * end > p (the mapped positions are free; at least one suffix
-     * token must run).
+     * tokens. With a prefix of p tokens the mapped positions count as
+     * held, so the first chunk must satisfy end > p (at least one
+     * suffix token must run). Throws std::invalid_argument on an
+     * out-of-order or empty chunk, a prompt that disagrees with the
+     * tokens already ingested, or any ordinary prefill violation.
      */
     Matrix prefillChunk(const std::vector<int> &tokens, size_t begin,
-                        size_t end, const SessionKvPlan &plan);
+                        size_t end,
+                        const SessionKvPlan &plan = SessionKvPlan{});
 
     /**
      * Compute the shareable K/V of `tokens` as a prompt prefix: one
@@ -218,10 +211,9 @@ class InferenceSession
     /**
      * Append one token and return the logits after it — equal to a
      * full-sequence forward over the whole context (see the parity
-     * contract above). A decodeStep on a fresh session is a prefill
-     * of one token; otherwise it is BatchedDecoder::step over this
-     * session alone. Throws std::invalid_argument when the context
-     * would exceed TransformerConfig::max_tokens.
+     * contract above): BatchedDecoder::step over this session alone,
+     * on a fresh session too. Throws std::invalid_argument when the
+     * context would exceed TransformerConfig::max_tokens.
      */
     Matrix decodeStep(int token);
 
@@ -230,9 +222,8 @@ class InferenceSession
      * BatchedDecoder::ingest over this session alone. Leaves the K/V
      * caches and the noise lane bit-identical to decodeStep(token)
      * while skipping the last layer's Q, attention products, WO and
-     * FFN and the head (a "session/ingest_step" span). On a fresh
-     * session, and under Mean pooling, it is decodeStep(token) with
-     * the logits dropped. Throws as decodeStep() does.
+     * FFN and the head (a "session/ingest_step" span); under Mean
+     * pooling it runs the full step. Throws as decodeStep() does.
      */
     void ingestStep(int token);
 
@@ -256,12 +247,12 @@ class InferenceSession
 
     /**
      * Validate + map a shared prefix onto an empty session (segment
-     * aliasing, an empty tail, pooled state, token bookkeeping) — the
-     * head of a prefix-plan first chunk. Returns the tail reservation
-     * (the plan's context budget beyond the prefix).
+     * aliasing, an empty tail reserving the plan's context budget
+     * beyond the prefix, pooled state, token bookkeeping) — the head
+     * of a prefix-plan first chunk.
      */
-    size_t mapPrefix(const std::vector<int> &tokens,
-                     const SessionKvPlan &plan);
+    void mapPrefix(const std::vector<int> &tokens,
+                   const SessionKvPlan &plan);
 
     const TransformerClassifier *model_;
     uint64_t request_id_ = 0; ///< trace payload; lane lives in ctx_

@@ -682,7 +682,10 @@ MultiHeadSelfAttention::appendKvBatch(
             if (encoded)
                 syncKvEncodedHead(*kvs[i], h, k_row, v_row, backend);
         }
-        tail.tokens += 1;
+        // The first append replaces the empty mirrors, so the tail's
+        // reservation takes effect here, once.
+        if (++tail.tokens == 1 && kvs[i]->reserved_tokens > 0)
+            kvs[i]->reserve(kvs[i]->reserved_tokens);
     }
 }
 

@@ -24,8 +24,17 @@ RequestQueue::submit(Request request, uint64_t id)
     pending.request = std::move(request);
     pending.id = id;
     pending.enqueued = std::chrono::steady_clock::now();
-    if (pending.request.deadline)
-        pending.deadline = pending.enqueued + *pending.request.deadline;
+    if (pending.request.deadline) {
+        // A deadline past the clock's range saturates to never
+        // expiring: the sum would overflow steady_clock's nanoseconds.
+        using Clock = std::chrono::steady_clock;
+        const auto room = std::chrono::duration_cast<
+            std::chrono::milliseconds>(Clock::time_point::max() -
+                                       pending.enqueued);
+        pending.deadline = *pending.request.deadline < room
+                               ? pending.enqueued + *pending.request.deadline
+                               : Clock::time_point::max();
+    }
     std::future<RequestResult> future = pending.promise.get_future();
 
     {

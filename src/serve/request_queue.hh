@@ -34,7 +34,8 @@ struct PendingRequest
     uint64_t id = 0;
     std::promise<RequestResult> promise;
     std::chrono::steady_clock::time_point enqueued;
-    /** Absolute deadline (enqueued + Request::deadline), if any. */
+    /** Absolute deadline (enqueued + Request::deadline, saturated at
+     *  time_point::max(), which never expires), if any. */
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /** Times a later-queued request was popped over this one —
      *  takeIf's starvation-freedom counter (bypass aging). */

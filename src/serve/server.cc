@@ -84,9 +84,11 @@ Server::submitValidated(Request request)
             "(a request that generates nothing is not a request)");
     // The request consumes prompt + (max_new_tokens - 1) positions:
     // the final token is returned without being re-ingested. A prompt
-    // already at max_tokens therefore leaves no room to decode.
-    if (request.prompt.size() + request.max_new_tokens - 1 >
-        mcfg.max_tokens)
+    // already at max_tokens therefore leaves no room to decode. The
+    // check never forms that sum, which wraps for a huge budget.
+    if (request.prompt.size() > mcfg.max_tokens ||
+        request.max_new_tokens - 1 >
+            mcfg.max_tokens - request.prompt.size())
         throw std::invalid_argument(
             "serve::Server::submit: prompt of " +
             std::to_string(request.prompt.size()) + " tokens + " +

@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "nn/execution_engine.hh"
@@ -285,19 +286,26 @@ TEST(ChunkedPrefill, ChunkingOverASharedPrefixIsBitIdentical)
 
 namespace {
 
-/** FNV-1a over the raw logit bytes: a hex-exact digest of a run. */
+/** FNV-1a over the raw bytes of `n` doubles. */
 uint64_t
-fnv1a(uint64_t h, const Matrix &m)
+fnv1a(uint64_t h, const double *v, size_t n)
 {
-    for (double v : m.data()) {
+    for (size_t k = 0; k < n; ++k) {
         uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
+        std::memcpy(&bits, &v[k], sizeof bits);
         for (int i = 0; i < 8; ++i) {
             h ^= (bits >> (8 * i)) & 0xffu;
             h *= 0x100000001b3ULL;
         }
     }
     return h;
+}
+
+/** FNV-1a over the raw logit bytes: a hex-exact digest of a run. */
+uint64_t
+fnv1a(uint64_t h, const Matrix &m)
+{
+    return fnv1a(h, m.data().data(), m.data().size());
 }
 
 nn::PaperModelConfig
@@ -388,6 +396,109 @@ TEST(ChunkedPrefill, PrefixMappedIngestAndDecodeMatchGolden)
     EXPECT_EQ(h, kGolden);
 }
 
+namespace {
+
+/** FNV-1a over a packed K/V mirror: beta plus every packed column of
+ *  every (column tile, k-slice) block. */
+uint64_t
+fnv1a(uint64_t h, const core::EncodedOperand &e)
+{
+    const double geometry[] = {e.beta(), static_cast<double>(e.rows()),
+                               static_cast<double>(e.cols())};
+    h = fnv1a(h, geometry, 3);
+    const size_t nv = e.packedNv(), nl = e.packedNlambda();
+    for (size_t tc = 0; tc < (e.cols() + nv - 1) / nv; ++tc)
+        for (size_t tk = 0; tk < (e.rows() + nl - 1) / nl; ++tk)
+            for (size_t c = 0; c < nv; ++c)
+                h = fnv1a(h, e.tileColumn(tc, tk, c), nl);
+    return h;
+}
+
+/** FNV-1a over every layer's tail, dense and packed mirrors. */
+uint64_t
+fnv1aKv(uint64_t h, const nn::InferenceSession &s)
+{
+    for (size_t l = 0; l < s.model().depth(); ++l) {
+        const nn::KvLayerSegment &tail = s.kvCache(l).tail;
+        EXPECT_EQ(tail.ek_t.size(), s.model().config().heads)
+            << "the engine runs packed K/V";
+        for (size_t head = 0; head < tail.k.size(); ++head) {
+            h = fnv1a(h, tail.k[head]);
+            h = fnv1a(h, tail.v[head]);
+        }
+        for (size_t head = 0; head < tail.ek_t.size(); ++head) {
+            h = fnv1a(h, tail.ek_t[head]);
+            h = fnv1a(h, tail.ev[head]);
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(ChunkedPrefill, EverySessionStartMatchesGolden)
+{
+    // Captured while a session's first token still ran as a one-token
+    // whole-sequence prefill. Four ways to start a session over one
+    // 7-token prompt: a two-chunk prefillChunk ([0, 3), [3, 7)), a
+    // decodeStep per token, ingestStep for all but the last token, and
+    // a one-token first chunk. The digest covers the returned logits,
+    // every layer's dense and packed K/V after the prompt, and two
+    // greedy decode steps, under both poolings.
+    constexpr uint64_t kGolden[] = {
+        0x5465a6e9cfaef44aULL, // LastToken
+        0xaa0439bcd9a0f0e9ULL, // Mean
+    };
+    const std::vector<int> prompt = promptFor(17, 7, 24);
+    const size_t n = prompt.size();
+    for (nn::Pooling pooling : {nn::Pooling::LastToken, nn::Pooling::Mean}) {
+        nn::TransformerConfig cfg = lmConfig();
+        cfg.pooling = pooling;
+        nn::TransformerClassifier model(cfg);
+        const nn::QuantConfig quant = nn::QuantConfig::w8a8();
+        nn::ExecutionEngine engine(noisyDptc(), core::EvalMode::Noisy);
+
+        uint64_t h = 0xcbf29ce484222325ULL;
+        auto finish = [&](nn::InferenceSession &s, Matrix logits) {
+            h = fnv1a(h, logits);
+            h = fnv1aKv(h, s);
+            for (int step = 0; step < 2; ++step) {
+                logits = s.decodeStep(
+                    static_cast<int>(nn::argmaxRow(logits, 0)));
+                h = fnv1a(h, logits);
+            }
+        };
+        {
+            nn::InferenceSession s(model, engine, quant, 40);
+            h = fnv1a(h, s.prefillChunk(prompt, 0, 3));
+            finish(s, s.prefillChunk(prompt, 3, n));
+        }
+        {
+            nn::InferenceSession s(model, engine, quant, 41);
+            Matrix logits;
+            for (int t : prompt) {
+                logits = s.decodeStep(t);
+                h = fnv1a(h, logits);
+            }
+            finish(s, logits);
+        }
+        {
+            nn::InferenceSession s(model, engine, quant, 42);
+            for (size_t i = 0; i + 1 < n; ++i)
+                s.ingestStep(prompt[i]);
+            finish(s, s.decodeStep(prompt[n - 1]));
+        }
+        {
+            nn::InferenceSession s(model, engine, quant, 43);
+            h = fnv1a(h, s.prefillChunk(prompt, 0, 1));
+            finish(s, s.prefillChunk(prompt, 1, n));
+        }
+        EXPECT_EQ(h, kGolden[pooling == nn::Pooling::Mean])
+            << (pooling == nn::Pooling::Mean ? "Mean" : "LastToken")
+            << std::hex << " digest 0x" << h;
+    }
+}
+
 TEST(ChunkedPrefill, KvOnlyPrefixEqualsTheFullForwardsKv)
 {
     // buildKvPrefix stops its forward at the last layer's K/V (LastToken
@@ -439,8 +550,9 @@ TEST(ChunkedPrefill, KvOnlyPrefixEqualsTheFullForwardsKv)
 
 TEST(ChunkedPrefill, IngestRunsExactlyTheKvWork)
 {
-    // An n-token chunk runs n-1 ingest tokens and one full token, a
-    // prefix build the full forward minus its last layer's dead work,
+    // An n-token chunk, a session's first included, runs n-1 ingest
+    // tokens and one full token, a prefix build the full forward minus
+    // its last layer's dead work,
     // and a Mean-pooling model (whose pooled sum needs every row's
     // final LN) the full path's MACs in both. All counts derive from
     // the model shape through the analytic workloads.
@@ -457,15 +569,18 @@ TEST(ChunkedPrefill, IngestRunsExactlyTheKvWork)
 
         nn::ExecutionEngine engine(noisyDptc(), core::EvalMode::Noisy);
         nn::InferenceSession s(model, engine, quant, 2);
-        s.prefillChunk(prompt, 0, kFirst);
-        engine.resetStats();
-        s.prefillChunk(prompt, kFirst, kPrompt);
-        size_t want = 0;
-        for (size_t ctx = kFirst; ctx < kPrompt; ++ctx) {
-            const TokenMacs t = tokenMacs(cfg, ctx);
-            want += ctx + 1 < kPrompt && !mean ? t.ingest : t.full;
+        for (const auto &[begin, end] :
+             {std::pair<size_t, size_t>{0, kFirst}, {kFirst, kPrompt}}) {
+            engine.resetStats();
+            s.prefillChunk(prompt, begin, end);
+            size_t want = 0;
+            for (size_t ctx = begin; ctx < end; ++ctx) {
+                const TokenMacs t = tokenMacs(cfg, ctx);
+                want += ctx + 1 < end && !mean ? t.ingest : t.full;
+            }
+            EXPECT_EQ(engine.stats().macs.load(), want)
+                << what << " chunk [" << begin << ", " << end << ")";
         }
-        EXPECT_EQ(engine.stats().macs.load(), want) << what << " chunk";
 
         const std::vector<int> prefix(prompt.begin(),
                                       prompt.begin() + kPrefix);
@@ -756,11 +871,11 @@ TEST(ChunkedPrefill, ChunkingBoundsTheEngineWorkBetweenTwoTokens)
     EXPECT_LE(chunked.worst_macs, bound);
 
     // Each chunk's last token takes the full step; every other prompt
-    // token but token 0 (the one-token prefill) takes an ingest step.
+    // token, token 0 included, takes an ingest step.
     EXPECT_EQ(chunked.decode_steps,
               kBurstRequests * (kBurstPrompt / kChunk));
     EXPECT_EQ(chunked.ingest_steps,
-              kBurstRequests * (kBurstPrompt - kBurstPrompt / kChunk - 1));
+              kBurstRequests * (kBurstPrompt - kBurstPrompt / kChunk));
 
     // The gate has teeth: whole-prompt admission puts the other 15
     // requests' whole prefills between request 0's first two tokens.

@@ -656,6 +656,55 @@ TEST(DecodeKvCache, EncodedBlockPointersStableAcrossMaxTokensAppends)
     EXPECT_EQ(kv.tail.v.front().rows(), cfg.max_tokens);
 }
 
+TEST(DecodeKvCache, FreshSessionBackingStableUpToItsReservation)
+{
+    // A session's tail is reserved when it takes its first token: for
+    // the plan's context, else the whole positional table. From then
+    // on no append moves a dense or packed K/V mirror, whether the
+    // session started with a decodeStep or a prefix-less prefillChunk.
+    nn::TransformerConfig cfg = decoderConfig();
+    cfg.max_tokens = 24;
+    nn::TransformerClassifier model(cfg);
+    core::DptcConfig dcfg;
+    dcfg.input_bits = 8;
+    nn::ExecutionEngine engine(dcfg, core::EvalMode::Noisy);
+    const auto tokens = tokenStream(cfg.max_tokens, cfg.vocab_size, 0xBAC4);
+    const size_t kPlanReserve = 15, kFirstChunk = 3;
+
+    for (bool chunked : {false, true}) {
+        const std::string what = chunked ? "prefillChunk" : "decodeStep";
+        nn::InferenceSession s(model, engine, nn::QuantConfig::w8a8(), 5);
+        size_t reserve = cfg.max_tokens;
+        if (chunked) {
+            nn::SessionKvPlan plan;
+            plan.reserve_tokens = reserve = kPlanReserve;
+            s.prefillChunk(tokens, 0, kFirstChunk, plan);
+        } else {
+            s.decodeStep(tokens[0]);
+        }
+        auto backing = [&] {
+            std::vector<const double *> ptrs;
+            for (size_t l = 0; l < model.depth(); ++l) {
+                const nn::AttentionKvCache &kv = s.kvCache(l);
+                EXPECT_EQ(kv.reserved_tokens, reserve) << what;
+                for (size_t h = 0; h < kv.tail.k.size(); ++h) {
+                    ptrs.push_back(kv.tail.k[h].data().data());
+                    ptrs.push_back(kv.tail.v[h].data().data());
+                    ptrs.push_back(kv.tail.ek_t.at(h).packedData());
+                    ptrs.push_back(kv.tail.ev.at(h).packedData());
+                }
+            }
+            return ptrs;
+        };
+        const std::vector<const double *> first = backing();
+        ASSERT_EQ(first.size(), 4 * model.depth() * cfg.heads) << what;
+        while (s.contextLen() < reserve)
+            s.decodeStep(tokens[s.contextLen()]);
+        EXPECT_EQ(s.kvCache(0).tail.tokens, reserve) << what;
+        EXPECT_EQ(backing(), first) << what << ": a K/V mirror moved";
+    }
+}
+
 // ---- weight-plan cache in the decode path -----------------------------
 
 TEST(DecodeWeightPlans, SteadyStateDecodeNeverReencodesWeights)

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -427,7 +428,7 @@ TEST(Serve, BatchedDecoderRejectsMalformedBatches)
 
     nn::InferenceSession a(model, backend), b(model, backend),
         on_other_model(other, backend),
-        on_other_backend(model, backend2), fresh(model, backend);
+        on_other_backend(model, backend2);
     a.prefill({1, 2});
     b.prefill({3, 4});
     on_other_model.prefill({1, 2});
@@ -447,8 +448,6 @@ TEST(Serve, BatchedDecoderRejectsMalformedBatches)
     EXPECT_THROW(
         nn::BatchedDecoder::step({&a, &on_other_backend}, {1, 2}),
         std::invalid_argument);
-    EXPECT_THROW(nn::BatchedDecoder::step({&a, &fresh}, {1, 2}),
-                 std::invalid_argument);
 
     // Context exhaustion is caught BEFORE any session advances.
     nn::TransformerConfig tiny = lmConfig(/*max_tokens=*/3);
@@ -459,6 +458,63 @@ TEST(Serve, BatchedDecoderRejectsMalformedBatches)
     EXPECT_THROW(nn::BatchedDecoder::step({&room, &full}, {1, 2}),
                  std::invalid_argument);
     EXPECT_EQ(room.contextLen(), 1u); // untouched by the failed batch
+}
+
+TEST(Serve, BatchedDecoderStepsAFreshSessionBesideAPrefilledOne)
+{
+    // A session's first token is an ordinary step against an empty
+    // K/V cache, so it batches with sessions that already hold tokens:
+    // every batch member's logits and K/V equal its solo steps', under
+    // both poolings (Mean starts its running sum on that step), through
+    // a full step and then an ingest.
+    for (nn::Pooling pooling : {nn::Pooling::LastToken, nn::Pooling::Mean}) {
+        nn::TransformerConfig cfg = lmConfig();
+        cfg.pooling = pooling;
+        nn::TransformerClassifier model(cfg);
+        const nn::QuantConfig quant = nn::QuantConfig::w8a8();
+        const std::string what =
+            pooling == nn::Pooling::Mean ? "Mean" : "LastToken";
+        const std::vector<int> prompt = promptFor(2, 5, cfg.vocab_size);
+
+        nn::ExecutionEngine engine(noisyDptc(), core::EvalMode::Noisy);
+        nn::InferenceSession warm(model, engine, quant, 1),
+            fresh(model, engine, quant, 2);
+        warm.prefill(prompt);
+        const std::vector<Matrix> batched =
+            nn::BatchedDecoder::step({&fresh, &warm}, {7, 3});
+        nn::BatchedDecoder::ingest({&warm, &fresh}, {4, 9});
+
+        nn::ExecutionEngine solo_engine(noisyDptc(),
+                                        core::EvalMode::Noisy);
+        nn::InferenceSession warm_solo(model, solo_engine, quant, 1),
+            fresh_solo(model, solo_engine, quant, 2);
+        warm_solo.prefill(prompt);
+        ASSERT_EQ(batched.size(), 2u);
+        EXPECT_EQ(batched[0].maxAbsDiff(fresh_solo.decodeStep(7)), 0.0)
+            << what << " fresh";
+        EXPECT_EQ(batched[1].maxAbsDiff(warm_solo.decodeStep(3)), 0.0)
+            << what << " prefilled";
+        fresh_solo.ingestStep(9);
+        warm_solo.ingestStep(4);
+        EXPECT_EQ(fresh.contextLen(), 2u) << what;
+        EXPECT_EQ(warm.contextLen(), prompt.size() + 2) << what;
+
+        const std::pair<nn::InferenceSession *, nn::InferenceSession *>
+            pairs[] = {{&fresh, &fresh_solo}, {&warm, &warm_solo}};
+        for (const auto &[got, want] : pairs) {
+            for (size_t l = 0; l < model.depth(); ++l)
+                for (size_t h = 0; h < cfg.heads; ++h) {
+                    const nn::KvLayerSegment &g = got->kvCache(l).tail;
+                    const nn::KvLayerSegment &w = want->kvCache(l).tail;
+                    EXPECT_EQ(g.k.at(h).maxAbsDiff(w.k.at(h)), 0.0) << what;
+                    EXPECT_EQ(g.v.at(h).maxAbsDiff(w.v.at(h)), 0.0) << what;
+                }
+            // The next logits read the whole state, pooled sum included.
+            EXPECT_EQ(got->decodeStep(5).maxAbsDiff(want->decodeStep(5)),
+                      0.0)
+                << what << " request " << got->requestId();
+        }
+    }
 }
 
 // ---- server misuse paths ----------------------------------------------
@@ -499,12 +555,20 @@ TEST(Serve, SubmitValidationAndDrainRejection)
     fits.max_new_tokens = 3;
     auto future = server.submit(fits);
 
+    // prompt + max_new_tokens - 1 wraps for a huge budget. Admitted,
+    // such a request would throw in the fused step at max_tokens and
+    // fail its batch-mate `fits` with it.
+    serve::Request wraps = ok;
+    wraps.max_new_tokens = std::numeric_limits<size_t>::max();
+    EXPECT_THROW(server.submit(wraps), std::invalid_argument);
+
     serve::Request out_of_vocab = ok;
     out_of_vocab.prompt = {1, 99};
     EXPECT_THROW(server.submit(out_of_vocab), std::invalid_argument);
 
     server.runUntilIdle();
     EXPECT_EQ(future.get().generated.size(), 3u);
+    EXPECT_EQ(server.metrics().request_failures, 0u);
 
     server.drain();
     EXPECT_THROW(server.submit(ok), std::runtime_error);
@@ -571,12 +635,27 @@ TEST(Serve, DeadlineExpiryShedsLoad)
     // and dead by the time the scheduler first looks at the queue.
     doomed.deadline = std::chrono::milliseconds(1);
     auto future = server.submit(doomed);
+    // A deadline past steady_clock's range (~292 years in nanoseconds)
+    // saturates to never expiring instead of wrapping into the past.
+    std::vector<std::future<serve::RequestResult>> distant;
+    for (std::chrono::milliseconds deadline :
+         {std::chrono::milliseconds::max(),
+          std::chrono::milliseconds::max() / 2}) {
+        serve::Request req = doomed;
+        req.deadline = deadline;
+        distant.push_back(server.submit(std::move(req)));
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     server.runUntilIdle();
 
     serve::RequestResult result = future.get();
     EXPECT_TRUE(result.expired);
     EXPECT_LT(result.generated.size(), 8u);
+    for (auto &f : distant) {
+        const serve::RequestResult r = f.get();
+        EXPECT_FALSE(r.expired);
+        EXPECT_EQ(r.generated.size(), 8u);
+    }
     EXPECT_EQ(server.metrics().expired, 1u);
 }
 
@@ -1075,12 +1154,12 @@ TEST(Serve, DecodeStepFaultReplaysSessionsBitIdentically)
     EXPECT_EQ(retry.args[1], static_cast<int64_t>(kRequests));
     EXPECT_EQ(want.metrics.engine_step_retries, 0u);
 
-    // The replay ran ingest steps for each prompt's tokens 1..4 (its
+    // The replay ran ingest steps for each prompt's tokens 0..4 (its
     // one whole-prompt chunk) and for every generated token but the
     // feed: one per req/token instant before the fault.
     EXPECT_EQ(got.tokens_before_retry, 5 * kRequests);
     EXPECT_EQ(got.ingests_after_retry,
-              kRequests * (kPrompt - 2) + got.tokens_before_retry);
+              kRequests * (kPrompt - 1) + got.tokens_before_retry);
 
     ASSERT_EQ(got.results.size(), kRequests);
     ASSERT_EQ(want.results.size(), kRequests);
