@@ -37,8 +37,8 @@ constexpr size_t kNewTokens = 12;
 
 /**
  * The latency budget: the conc-16 token p99 with whole-prompt prefill
- * and per-row dispatch was 168.872 ms; chunked prefill plus
- * block-diagonal fusion must at least halve it.
+ * and per-row dispatch was 168.872 ms; chunked prefill plus the
+ * stacked-row dispatch must at least halve it.
  */
 constexpr double kBaselineTokenP99Ms = 168.872;
 constexpr double kTokenP99BudgetMs = kBaselineTokenP99Ms / 2.0;

@@ -186,8 +186,8 @@ Dptc::multiply(const Matrix &a, const Matrix &b, EvalMode mode)
     Matrix out(a.rows(), b.cols(), 0.0);
     NoiseScratch scratch;
     scratch.ensure(sliceNoiseValues());
-    packedSlice(ea, eb, 0, cfg_.nh, 0, 0, mode,
-                ea.beta() * eb.beta(), rng_, out, scratch);
+    packedSlice(ea, eb, 0, 0, 0, mode, ea.beta() * eb.beta(), rng_,
+                out, scratch);
     return out;
 }
 
@@ -225,13 +225,13 @@ Dptc::gemmTiles(const Matrix &a_hat, const Matrix &b_hat, EvalMode mode,
 template <typename RngT>
 void
 Dptc::packedSlice(const EncodedOperand &a, const EncodedOperand &b,
-                  size_t r0, size_t max_rows, size_t tc, size_t tk,
-                  EvalMode mode, double scale, RngT &rng, Matrix &out,
+                  size_t r0, size_t tc, size_t tk, EvalMode mode,
+                  double scale, RngT &rng, Matrix &out,
                   NoiseScratch &scratch) const
 {
     const size_t k0 = tk * cfg_.nlambda;
     const size_t c0 = tc * cfg_.nv;
-    const size_t rows = std::min(max_rows, a.rows() - r0);
+    const size_t rows = std::min(cfg_.nh, a.rows() - r0);
     const size_t cols = std::min(cfg_.nv, b.cols() - c0);
     const size_t depth = std::min(cfg_.nlambda, a.cols() - k0);
     const NoiseConfig &noise = cfg_.noise;
@@ -377,8 +377,8 @@ Dptc::gemmTiles(const EncodedOperand &a, const EncodedOperand &b,
             // Ziggurat stream instead of the bit-exact one.
             FastRng tile_rng(deriveSeed(stream_seed, t));
             for (size_t tk = 0; tk < tiles_k; ++tk)
-                packedSlice(a, b, r0, cfg_.nh, tc, tk, mode, scale,
-                            tile_rng, out, scratch);
+                packedSlice(a, b, r0, tc, tk, mode, scale, tile_rng,
+                            out, scratch);
             draws += tile_rng.drawCount();
         } else if (mode == EvalMode::Noisy) {
             // Counter-based seeding, identical to the reference
@@ -387,109 +387,12 @@ Dptc::gemmTiles(const EncodedOperand &a, const EncodedOperand &b,
             // fixed ascending order.
             Rng tile_rng(deriveSeed(stream_seed, t));
             for (size_t tk = 0; tk < tiles_k; ++tk)
-                packedSlice(a, b, r0, cfg_.nh, tc, tk, mode, scale,
-                            tile_rng, out, scratch);
+                packedSlice(a, b, r0, tc, tk, mode, scale, tile_rng,
+                            out, scratch);
             draws += tile_rng.drawCount();
         } else {
             for (size_t tk = 0; tk < tiles_k; ++tk)
-                packedSlice(a, b, r0, cfg_.nh, tc, tk, mode, scale,
-                            unused, out, scratch);
-        }
-    }
-    if (gaussian_draws != nullptr)
-        *gaussian_draws += draws;
-}
-
-EncodedOperand
-Dptc::encodeStackedRows(const std::vector<ConstMatrixView> &rows,
-                        EvalMode mode) const
-{
-    if (rows.empty())
-        lt_fatal("Dptc::encodeStackedRows: empty row set");
-    const size_t k = rows.front().cols();
-    EncodedOperand op;
-    op.rows_ = rows.size();
-    op.cols_ = k;
-    op.side_ = OperandSide::A;
-    // The shared beta is meaningless for a stacked operand: every row
-    // carries its own solo-encode beta, and consumers scale per row.
-    op.beta_ = 1.0;
-    op.bits_ = mode == EvalMode::Ideal ? 0 : cfg_.input_bits;
-    op.dynamic_beta_ = false;
-    op.row_betas_.resize(rows.size());
-    op.data_.resize(rows.size() * k);
-    for (size_t r = 0; r < rows.size(); ++r) {
-        const ConstMatrixView &m = rows[r];
-        if (m.rows() != 1 || m.cols() != k)
-            lt_fatal("Dptc::encodeStackedRows: row ", r, " is [",
-                     m.rows(), ",", m.cols(), "], want [1,", k, "]");
-        // Per-row beta = the row's own max-abs: exactly what a solo
-        // [1, k] encode of this row would have used, so the stored
-        // quantized values are bit-identical to the solo encode.
-        const double beta = mode == EvalMode::Ideal ? 1.0 : maxAbs(m);
-        op.row_betas_[r] = beta;
-        for (size_t c = 0; c < k; ++c)
-            op.data_[r * k + c] =
-                beta > 0.0
-                    ? quantizeSymmetricUnit(m(0, c) / beta, op.bits_)
-                    : 0.0;
-    }
-    return op;
-}
-
-void
-Dptc::gemmRowStackedTiles(const EncodedOperand &a, size_t row,
-                          const EncodedOperand &b, EvalMode mode,
-                          double scale, size_t tile_begin,
-                          size_t tile_end, Matrix &out,
-                          uint64_t stream_seed,
-                          uint64_t *gaussian_draws) const
-{
-    if (a.side() != OperandSide::A || b.side() != OperandSide::B ||
-        !acceptsEncoded(a, mode) || !acceptsEncoded(b, mode))
-        lt_fatal("Dptc::gemmRowStackedTiles: operands not encoded "
-                 "for this core geometry/mode");
-    if (a.cols() != b.rows())
-        lt_fatal("Dptc::gemmRowStackedTiles inner dimension "
-                 "mismatch: ", a.cols(), " vs ", b.rows());
-    if (row >= a.rows())
-        lt_fatal("Dptc::gemmRowStackedTiles: row ", row,
-                 " out of range [0, ", a.rows(), ")");
-
-    auto cdiv = [](size_t x, size_t y) { return (x + y - 1) / y; };
-    const size_t tiles_k = cdiv(a.cols(), cfg_.nlambda);
-
-    NoiseScratch scratch;
-    scratch.ensure(sliceNoiseValues());
-    uint64_t draws = 0;
-
-    const bool fast = mode == EvalMode::Noisy &&
-                      cfg_.noise.sampler == NoiseSampler::Fast &&
-                      !cfg_.channel_calibration;
-
-    Rng unused(0); // non-noisy modes never draw from it
-    for (size_t t = tile_begin; t < tile_end; ++t) {
-        // A solo [1, k] product has a single row tile, so its output
-        // tile index IS the column-tile index: seeding tile t from
-        // (stream, t) replays the solo product's per-tile noise
-        // streams exactly — the stacked row only changes WHERE the
-        // outputs land (row `row` of the tall result), never what
-        // noise they draw.
-        if (fast) {
-            FastRng tile_rng(deriveSeed(stream_seed, t));
-            for (size_t tk = 0; tk < tiles_k; ++tk)
-                packedSlice(a, b, row, 1, t, tk, mode, scale,
-                            tile_rng, out, scratch);
-            draws += tile_rng.drawCount();
-        } else if (mode == EvalMode::Noisy) {
-            Rng tile_rng(deriveSeed(stream_seed, t));
-            for (size_t tk = 0; tk < tiles_k; ++tk)
-                packedSlice(a, b, row, 1, t, tk, mode, scale,
-                            tile_rng, out, scratch);
-            draws += tile_rng.drawCount();
-        } else {
-            for (size_t tk = 0; tk < tiles_k; ++tk)
-                packedSlice(a, b, row, 1, t, tk, mode, scale, unused,
+                packedSlice(a, b, r0, tc, tk, mode, scale, unused,
                             out, scratch);
         }
     }

@@ -119,8 +119,9 @@ class Dptc
      * packed overload below is pinned bit-identical against (tests)
      * and as ExecutionEngine's digital fallback once every replica is
      * quarantined. Every other engine product runs the EncodedOperand
-     * overload, bench_engine_scaling's "cache off" decode column
-     * included (it re-encodes the operands per call).
+     * overload: the stacked-row dispatch's per-row products, and
+     * bench_engine_scaling's "cache off" decode column (it re-encodes
+     * the operands per call).
      *
      * @param scale multiplies every output (beta_a * beta_b; 1 for
      *        Ideal mode on raw operands)
@@ -140,10 +141,12 @@ class Dptc
      * run (packed once at encode time instead of re-gathered Nh times
      * per tile), per-channel noise coefficients come from flat
      * arrays, and the only scratch (one pass's noise stddevs and
-     * draws, NoiseScratch) is a per-call workspace sized to the call's
-     * row count and hoisted out of the hot loop — no allocations per
-     * tile or k-slice. Thread-safe for disjoint tile ranges; this is
-     * the unit the ExecutionEngine shards across core replicas.
+     * draws, NoiseScratch) is a per-call workspace of
+     * sliceNoiseValues() values hoisted out of the hot loop — no
+     * allocations per tile or k-slice. Thread-safe for disjoint tile
+     * ranges; this is the unit the ExecutionEngine shards across core
+     * replicas (a stacked-row dispatch calls it once per (row, column
+     * tile), each row a [1, k] operand of its own).
      *
      * `scale` is normally a.beta() * b.beta(); operands must have
      * been encoded for this core's geometry and mode (fatal
@@ -165,27 +168,6 @@ class Dptc
                    uint64_t *gaussian_draws = nullptr) const;
 
     /**
-     * STACKED-ROW KERNEL: one row of a stacked A-side operand
-     * (encodeStackedRows) against a shared B-side plan, over column
-     * tiles [tile_begin, tile_end). The row is executed EXACTLY as if
-     * it were the single row of its own [1, k] encode: tile indices,
-     * per-tile noise seeding (deriveSeed(stream_seed, tc)), k-slice
-     * order, and draw counts all match the solo product, so the
-     * stacked dispatch is bit-identical per row to N independent
-     * row-GEMMs — each row just carries its own stream seed (the
-     * request's noise lane) into one shared dispatch. `scale` is
-     * a.rowBeta(row) * b.beta(). Writes accumulate into out's row
-     * `row`; `out` must be [a.rows(), b.cols()] and zero-filled in the
-     * covered region. Thread-safe for disjoint (row, tile) regions.
-     */
-    void gemmRowStackedTiles(const EncodedOperand &a, size_t row,
-                             const EncodedOperand &b, EvalMode mode,
-                             double scale, size_t tile_begin,
-                             size_t tile_end, Matrix &out,
-                             uint64_t stream_seed,
-                             uint64_t *gaussian_draws = nullptr) const;
-
-    /**
      * Prepare one operand for the packed kernel: beta normalization
      * (maxAbs), DAC quantization to input_bits, and the side-specific
      * packed layout, fused in one pass. Ideal mode encodes raw values
@@ -205,18 +187,6 @@ class Dptc
     {
         return encode(m.view(), side, mode);
     }
-
-    /**
-     * Encode N single-row operands as one stacked [N, k] A-side
-     * operand for gemmRowStackedTiles: row r is beta-normalized and
-     * quantized against its OWN max-abs (recorded as rowBeta(r)), so
-     * every stored row is bit-identical to the row of a solo [1, k]
-     * encode of the same values. The shared beta() is meaningless for
-     * a stacked operand (set to 1.0); consumers scale per row.
-     */
-    EncodedOperand
-    encodeStackedRows(const std::vector<ConstMatrixView> &rows,
-                      EvalMode mode) const;
 
     /** True when `op` was encoded compatibly with this core + mode. */
     bool acceptsEncoded(const EncodedOperand &op, EvalMode mode) const;
@@ -278,15 +248,14 @@ class Dptc
      * sequence is exactly multiplyNormalized's for RngT = Rng, and the
      * per-dot one for FastRng. Channel-calibrated dots draw per
      * element (BitExact only). `scratch` must hold sliceNoiseValues()
-     * values. `max_rows` caps the row-tile height (cfg_.nh for full
-     * tiles; 1 for the stacked-row kernel, whose operand holds other
-     * requests' rows below r0).
+     * values. The pass covers rows [r0, r0 + nh) clipped to a's edge:
+     * a one-row operand makes a one-row pass.
      */
     template <typename RngT>
     void packedSlice(const EncodedOperand &a, const EncodedOperand &b,
-                     size_t r0, size_t max_rows, size_t tc, size_t tk,
-                     EvalMode mode, double scale, RngT &rng,
-                     Matrix &out, NoiseScratch &scratch) const;
+                     size_t r0, size_t tc, size_t tk, EvalMode mode,
+                     double scale, RngT &rng, Matrix &out,
+                     NoiseScratch &scratch) const;
 
     /**
      * NoiseScratch values a packedSlice pass needs: one row of nv dots

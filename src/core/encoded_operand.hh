@@ -79,20 +79,6 @@ class EncodedOperand
     /** Max-abs normalization scale (1.0 for Ideal-mode encodes). */
     double beta() const { return beta_; }
 
-    /**
-     * Per-row normalization scale of a stacked A-side operand
-     * (Dptc::encodeStackedRows): row r was quantized against its OWN
-     * max-abs — exactly the beta a solo single-row encode of that row
-     * would have used — so a stacked product can reproduce each
-     * request's solo results bit-identically. Plain encodes have no
-     * per-row betas and fall back to the shared beta().
-     */
-    double
-    rowBeta(size_t r) const
-    {
-        return row_betas_.empty() ? beta_ : row_betas_[r];
-    }
-
     /** DAC width the values were quantized to (0 = raw, Ideal mode). */
     int bits() const { return bits_; }
 
@@ -214,12 +200,6 @@ class EncodedOperand
     size_t cols_ = 0;
     double beta_ = 0.0;
     int bits_ = 0;
-
-    /**
-     * Per-row betas of a stacked A-side encode (empty otherwise).
-     * See rowBeta().
-     */
-    std::vector<double> row_betas_;
 
     /**
      * True when beta was derived from the operand's max-abs (any

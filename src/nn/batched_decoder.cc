@@ -60,6 +60,11 @@ BatchedDecoder::advance(const std::vector<InferenceSession *> &sessions,
             throw std::invalid_argument(
                 "BatchedDecoder::step: all sessions must share one "
                 "backend");
+        } else if (s->ctx_.quant != sessions[0]->ctx_.quant) {
+            throw std::invalid_argument(
+                "BatchedDecoder::step: all sessions must share one "
+                "QuantConfig (the fused projections prepare one "
+                "weight)");
         }
         if (s->len_ + 1 > model->config().max_tokens)
             throw std::invalid_argument(

@@ -54,9 +54,9 @@ class BatchedDecoder
      *
      * Requirements (std::invalid_argument otherwise): at least one
      * session; one token per session; no duplicate sessions; all
-     * sessions share one model and one backend; and no session's
-     * context may exceed TransformerConfig::max_tokens. Validation
-     * happens before any session is touched.
+     * sessions share one model, one backend and one QuantConfig; and
+     * no session's context may exceed TransformerConfig::max_tokens.
+     * Validation happens before any session is touched.
      */
     static std::vector<Matrix>
     step(const std::vector<InferenceSession *> &sessions,

@@ -741,47 +741,46 @@ ExecutionEngine::gemmRowStacked(const std::vector<ConstMatrixView> &rows,
         recordEncodedHit(w);
     }
 
+    // Row i is the solo product gemm(rows[i], w, streams[i]): its own
+    // [1, k] encode (beta) and its own stream seed.
     const size_t n = rows.size();
     const core::Dptc &proto = cores_.front();
+    const core::EvalMode mode = cfg_.mode;
+    std::vector<core::EncodedOperand> ea(n);
     std::vector<uint64_t> seeds(n);
-    for (size_t i = 0; i < n; ++i)
+    for (size_t i = 0; i < n; ++i) {
+        ea[i] = proto.encode(rows[i], core::OperandSide::A, mode);
         seeds[i] = deriveSeed(cfg_.dptc.seed, streams[i]);
+    }
 
+    std::vector<Matrix> results;
+    results.reserve(n);
     if (fault_active_) {
-        // Checked dispatch verifies per product: fusion is forfeited
-        // while the fault layer is armed, results stay bit-identical
-        // (the checked path is pinned against the unchecked one).
-        std::vector<Matrix> results(n);
-        for (size_t i = 0; i < n; ++i) {
-            core::EncodedOperand ea = proto.encode(
-                rows[i], core::OperandSide::A, cfg_.mode);
-            results[i] = gemmOneProductChecked(
-                ea, w, /*parallel_tiles=*/true, seeds[i]);
-        }
+        // Checked dispatch verifies per product, so it runs the rows
+        // one after another (the checked path is pinned against the
+        // unchecked one).
+        for (size_t i = 0; i < n; ++i)
+            results.push_back(gemmOneProductChecked(
+                ea[i], w, /*parallel_tiles=*/true, seeds[i]));
         return results;
     }
 
-    // One stacked encode for all rows (per-row betas), one tall
-    // output; (row, column-tile) units shard across the replicas.
-    core::EncodedOperand stacked =
-        proto.encodeStackedRows(rows, cfg_.mode);
-    auto cdiv = [](size_t a, size_t b) { return (a + b - 1) / b; };
-    const size_t tiles_c = cdiv(w.cols(), cfg_.dptc.nv);
-    const core::EvalMode mode = cfg_.mode;
-    const double wbeta = w.beta();
-    Matrix tall(n, w.cols(), 0.0);
-
+    // A one-row product's output tiles are its column tiles, so the
+    // (row, column tile) units shard across the replicas; each unit
+    // writes straight into its row's result.
+    for (size_t i = 0; i < n; ++i)
+        results.emplace_back(1, w.cols(), 0.0);
+    const size_t tiles_c = proto.outputTilesFor(1, w.cols());
     const size_t units = n * tiles_c;
     uint64_t draws = 0;
     if (units < 2 || cores_.size() == 1) {
         for (size_t i = 0; i < n; ++i)
-            proto.gemmRowStackedTiles(stacked, i, w, mode,
-                                      stacked.rowBeta(i) * wbeta, 0,
-                                      tiles_c, tall, seeds[i], &draws);
+            proto.gemmTiles(ea[i], w, mode, ea[i].beta() * w.beta(), 0,
+                            tiles_c, results[i], seeds[i], &draws);
     } else {
-        // Units own disjoint (row, tile) output regions and every
-        // tile's noise is (stream, tile)-seeded, so the shard split
-        // affects wall-clock only, never the result.
+        // Units own disjoint output regions and every tile's noise is
+        // (stream, tile)-seeded, so the shard split affects wall-clock
+        // only, never the result.
         std::vector<uint64_t> shard_draws(cores_.size(), 0);
         ThreadPool::global().parallelFor(
             units,
@@ -792,10 +791,9 @@ ExecutionEngine::gemmRowStacked(const std::vector<ConstMatrixView> &rows,
                 for (size_t u = begin; u < end; ++u) {
                     const size_t i = u / tiles_c;
                     const size_t tc = u % tiles_c;
-                    replica.gemmRowStackedTiles(
-                        stacked, i, w, mode,
-                        stacked.rowBeta(i) * wbeta, tc, tc + 1, tall,
-                        seeds[i], sd);
+                    replica.gemmTiles(ea[i], w, mode,
+                                      ea[i].beta() * w.beta(), tc,
+                                      tc + 1, results[i], seeds[i], sd);
                 }
             },
             cores_.size());
@@ -805,15 +803,6 @@ ExecutionEngine::gemmRowStacked(const std::vector<ConstMatrixView> &rows,
     if (draws != 0)
         stats_.gaussian_draws.fetch_add(draws,
                                         std::memory_order_relaxed);
-
-    std::vector<Matrix> results;
-    results.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        Matrix r(1, w.cols());
-        for (size_t c = 0; c < w.cols(); ++c)
-            r(0, c) = tall(i, c);
-        results.push_back(std::move(r));
-    }
     return results;
 }
 

@@ -230,15 +230,16 @@ class ExecutionEngine : public GemmBackend
                             const core::EncodedOperand *>> &products,
               const std::vector<uint64_t> &streams) override;
 
-    // ---- stacked-row fused dispatch ------------------------------
-    // Block-diagonal fusion for the serve decode regime: N requests'
-    // [1, k] rows execute as one tall dispatch against the shared
-    // pre-encoded weight, sharding (row, column-tile) units across
-    // the replicas. Row i keeps its own beta and its own stream
-    // seed, so result i is bit-identical to gemm(rows[i], w,
-    // streams[i]) — the fusion changes dispatch count and tile
-    // occupancy, never values. It needs the shared encoded weight,
-    // so it is on exactly when weight plans are.
+    // ---- stacked-row dispatch ------------------------------------
+    // The serve decode regime: N requests' [1, k] rows against the
+    // shared pre-encoded weight in ONE dispatch. Row i runs as the
+    // solo product gemm(rows[i], w, streams[i]) — its own [1, k]
+    // encode, beta and stream seed, through the packed kernel — and
+    // the (row, column tile) units shard across the replicas, so
+    // result i is bit-identical to that solo product. The dispatch
+    // saves engine calls, not DPTC passes: each row is a one-row
+    // pass, as it is alone. It needs the shared encoded weight, so it
+    // is on exactly when weight plans are.
 
     bool
     supportsRowStacking() const override

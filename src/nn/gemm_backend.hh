@@ -115,11 +115,12 @@ struct GemmStats
 
     /**
      * gemmRowStacked invocations (one per stacked dispatch, however
-     * many request rows it carries). The tile-packing acceptance
-     * metric of the block-diagonal fusion path: a fused decode step
-     * dispatches 6·depth+1 stacked projections plus 2·depth attention
-     * batches, so total dispatches/step drop from 8·depth+1 to
-     * 2·depth + (stacked) — test_serve pins both counts exactly.
+     * many request rows it carries; each row still runs as its own
+     * solo product). The dispatch-count metric of the stacked decode
+     * path: a fused decode step dispatches 6·depth+1 stacked
+     * projections plus 2·depth attention batches, so total
+     * dispatches/step drop from 8·depth+1 to 2·depth + (stacked) —
+     * test_serve pins both counts exactly.
      */
     std::atomic<size_t> stacked_calls{0};
 
@@ -357,17 +358,17 @@ class GemmBackend
                             const core::EncodedOperand *>> &products,
               const std::vector<uint64_t> &streams);
 
-    // ---- stacked-row dispatch (block-diagonal fusion) ------------
+    // ---- stacked-row dispatch ------------------------------------
     //
     // The serve decode regime runs N requests' [1, k] activations
-    // against the SAME pre-encoded weight — N row-GEMMs whose rows
-    // would each occupy one mostly-empty Nh-row DPTC tile. A backend
-    // with supportsRowStacking() accepts all N rows in ONE dispatch:
-    // it stacks them into a tall [N, k] operand (per-row betas, so
-    // each row's quantization matches its solo encode) and executes
-    // row i with stream streams[i]'s noise addressing, letting one
-    // DPTC tile carry rows from several requests. Results are
-    // bit-identical per row to gemm(rows[i], w, streams[i]).
+    // against the SAME pre-encoded weight. A backend with
+    // supportsRowStacking() accepts all N rows in ONE dispatch and
+    // runs them as N solo row products: row i is encoded on its own
+    // and draws from stream streams[i], and the engine shards the
+    // (row, column tile) units across its replicas. Each row is still
+    // a one-row DPTC pass, so the dispatch saves engine calls, not
+    // passes. Results are bit-identical per row to gemm(rows[i], w,
+    // streams[i]).
 
     /** True when this backend fuses stacked row dispatches. */
     virtual bool supportsRowStacking() const { return false; }

@@ -1,6 +1,5 @@
 #include "layers.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -122,6 +121,7 @@ Linear::forwardBatch(const std::vector<Matrix> &xs,
     if (xs.empty())
         return {};
     GemmBackend *backend = ctxs.front()->backend;
+    const QuantConfig &quant = ctxs.front()->quant;
 
     // Validate and quantize the activations, and draw exactly the one
     // stream id per context the solo forward makes, in index order.
@@ -129,6 +129,7 @@ Linear::forwardBatch(const std::vector<Matrix> &xs,
     std::vector<const Matrix *> act(xs.size());
     std::vector<uint64_t> streams;
     streams.reserve(xs.size());
+    bool all_rows = true;
     for (size_t i = 0; i < xs.size(); ++i) {
         if (xs[i].cols() != w_.rows())
             lt_panic("Linear::forwardBatch: input dim ", xs[i].cols(),
@@ -136,88 +137,58 @@ Linear::forwardBatch(const std::vector<Matrix> &xs,
         if (ctxs[i]->backend != backend)
             lt_panic("Linear::forwardBatch: contexts disagree on the "
                      "backend");
+        if (ctxs[i]->quant != quant)
+            lt_panic("Linear::forwardBatch: contexts disagree on the "
+                     "quantization");
         act[i] = &xs[i];
-        if (ctxs[i]->quant.enabled) {
-            xq[i] = fakeQuant(xs[i], ctxs[i]->quant.act_bits);
+        if (quant.enabled) {
+            xq[i] = fakeQuant(xs[i], quant.act_bits);
             act[i] = &xq[i];
         }
+        all_rows = all_rows && xs[i].rows() == 1;
         streams.push_back(ctxs[i]->stream.next());
-    }
-
-    // Group the contexts by weight width once (key -1 = quantization
-    // disabled), so the shared static weight is prepared exactly once
-    // per distinct width regardless of which representation the
-    // backend executes (fakeQuant and encoding are deterministic, so
-    // one preparation equals the per-call work of the solo forward
-    // bit-for-bit).
-    auto keyOf = [](const QuantConfig &q) {
-        return q.enabled ? q.weight_bits : -1;
-    };
-    std::vector<int> keys;
-    std::vector<size_t> key_idx(xs.size());
-    for (size_t i = 0; i < xs.size(); ++i) {
-        int key = keyOf(ctxs[i]->quant);
-        auto it = std::find(keys.begin(), keys.end(), key);
-        key_idx[i] = static_cast<size_t>(it - keys.begin());
-        if (it == keys.end())
-            keys.push_back(key);
     }
 
     // The serving entry point is inference-only by contract, so when
     // the backend executes encoded operands the weight comes from the
     // version-keyed plan cache: zero re-encodes in steady state.
-    // Results are bit-identical to the dense fallback.
+    // Results are bit-identical to the dense fallback (fakeQuant and
+    // encoding are deterministic, so one preparation equals the
+    // per-call work of the solo forward bit-for-bit).
     std::vector<Matrix> ys;
     if (backend->supportsWeightPlans()) {
-        std::vector<std::shared_ptr<const core::EncodedOperand>> plans;
-        plans.reserve(keys.size());
-        for (int key : keys) {
-            QuantConfig q;
-            q.enabled = key >= 0;
-            q.weight_bits = key;
-            plans.push_back(planFor(*backend, q));
-        }
-        // Decode-regime fusion: when every activation is a single row
-        // and all contexts share one weight plan, stack the N rows
-        // into ONE dispatch — one DPTC tile carries several requests'
-        // rows instead of N near-empty row-GEMMs. Bit-identical per
-        // row (per-row betas + per-row stream seeding), so the branch
-        // is purely a dispatch-count/occupancy optimization.
-        bool all_rows = keys.size() == 1;
-        for (size_t i = 0; all_rows && i < xs.size(); ++i)
-            all_rows = act[i]->rows() == 1;
+        auto plan = planFor(*backend, quant);
         if (all_rows && backend->supportsRowStacking()) {
+            // Decode regime: the N single rows go out as ONE stacked
+            // dispatch of N solo row products (bit-identical per row).
             std::vector<ConstMatrixView> rows;
             rows.reserve(xs.size());
-            for (size_t i = 0; i < xs.size(); ++i)
-                rows.push_back(act[i]->view());
-            ys = backend->gemmRowStacked(rows, *plans[0], streams);
+            for (const Matrix *a : act)
+                rows.push_back(a->view());
+            ys = backend->gemmRowStacked(rows, *plan, streams);
         } else {
             std::vector<
                 std::pair<const Matrix *, const core::EncodedOperand *>>
                 products;
             products.reserve(xs.size());
-            for (size_t i = 0; i < xs.size(); ++i)
-                products.emplace_back(act[i], plans[key_idx[i]].get());
+            for (const Matrix *a : act)
+                products.emplace_back(a, plan.get());
             ys = backend->gemmBatch(products, streams);
         }
     } else {
-        // Dense fallback: one quantized weight per distinct width
-        // (built before taking pointers — the vector must not grow
-        // while product pointers into it are live; key -1 uses the
-        // raw weight in place).
-        std::vector<Matrix> wq(keys.size());
-        std::vector<const Matrix *> dense(keys.size(), &w_);
-        for (size_t k = 0; k < keys.size(); ++k)
-            if (keys[k] >= 0) {
-                wq[k] = fakeQuant(w_, keys[k]);
-                dense[k] = &wq[k];
-            }
+        // Dense fallback: one quantized weight, or the raw weight in
+        // place when quantization is off.
+        Matrix wq;
+        const Matrix *dense = &w_;
+        if (quant.enabled) {
+            wq = fakeQuant(w_, quant.weight_bits);
+            dense = &wq;
+        }
         std::vector<std::pair<const Matrix *, const Matrix *>>
             products;
         products.reserve(xs.size());
-        for (size_t i = 0; i < xs.size(); ++i)
-            products.emplace_back(act[i], dense[key_idx[i]]);
+        for (const Matrix *a : act)
+            products.emplace_back(a, dense);
         ys = backend->gemmBatch(products, streams);
     }
 

@@ -162,7 +162,8 @@ class Linear
      * config, stream), so fusing never changes values). Each ctx draws
      * exactly one stream id, in index order — the same draw the solo
      * forward makes. Inference-only: no backward caches are written.
-     * All ctxs must share one backend.
+     * All ctxs must share one backend and one QuantConfig, so the
+     * static weight is prepared once (one plan or one dense weight).
      */
     std::vector<Matrix>
     forwardBatch(const std::vector<Matrix> &xs,

@@ -24,6 +24,8 @@ struct QuantConfig
     int act_bits = 8;
     bool enabled = true;
 
+    bool operator==(const QuantConfig &) const = default;
+
     static QuantConfig
     disabled()
     {

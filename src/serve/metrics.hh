@@ -105,8 +105,8 @@ struct MetricsSnapshot
     size_t engine_macs = 0;
     size_t engine_gemm_calls = 0;
     size_t engine_batch_calls = 0;
-    /** Stacked-row fused dispatches (block-diagonal GEMM fusion): N
-     *  decode rows against one weight plan in ONE engine call. */
+    /** Stacked-row dispatches: N decode rows against one weight
+     *  plan in ONE engine call (N solo row products). */
     size_t engine_stacked_calls = 0;
 
     /**

@@ -317,7 +317,7 @@ TEST(Serve, FusedDecodeStepDispatchesOLayersBatches)
     // per layer one stacked-row dispatch per projection (wq, wk, wv,
     // wo, fc1, fc2) plus the LM head = 6 * depth + 1 stacked calls,
     // and one fused gemmBatch each for QK^T and AV = 2 * depth batch
-    // calls — the block-diagonal fusion's 8*depth+1 ->
+    // calls — the stacked-row dispatch's 8*depth+1 ->
     // 2*depth+(6*depth+1) split.
     nn::TransformerClassifier model(lmConfig());
     nn::ExecutionEngine engine(noisyDptc(), core::EvalMode::Noisy);
@@ -448,6 +448,19 @@ TEST(Serve, BatchedDecoderRejectsMalformedBatches)
     EXPECT_THROW(
         nn::BatchedDecoder::step({&a, &on_other_backend}, {1, 2}),
         std::invalid_argument);
+
+    // One quantization per fused batch: the shared projections prepare
+    // one weight. The rejection comes before either session advances.
+    nn::InferenceSession w4(model, backend, nn::QuantConfig::w4a4()),
+        w8(model, backend, nn::QuantConfig::w8a8());
+    w4.prefill({1, 2});
+    w8.prefill({1, 2});
+    EXPECT_THROW(nn::BatchedDecoder::step({&w4, &w8}, {1, 2}),
+                 std::invalid_argument);
+    EXPECT_THROW(nn::BatchedDecoder::ingest({&w8, &a}, {1, 2}),
+                 std::invalid_argument);
+    EXPECT_EQ(w4.contextLen(), 2u);
+    EXPECT_EQ(w8.contextLen(), 2u);
 
     // Context exhaustion is caught BEFORE any session advances.
     nn::TransformerConfig tiny = lmConfig(/*max_tokens=*/3);
