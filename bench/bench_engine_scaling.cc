@@ -40,12 +40,22 @@
  * the same decode WITH a recorder installed and reports the traced
  * overhead (not gated: recording cost is a price the user opts into).
  *
+ * Paper-default decode row ("decode_paper"): the same model with
+ * encoding noise ON (3 draws and one sin per MAC), bit-exact, on a
+ * short prompt (each token is ~1.2M MACs). Its draws per step are
+ * pinned: --csv/--json exit nonzero if they move.
+ *
  * Gaussian-draw row ("rng"): ns/draw of per-call, bulk and Fast
  * sampling, plus the engine's real draw shape under encoding noise
  * (a fresh tile Rng, then per k-slice one fillGaussianScaled over the
  * pass's dots, 3n + 1 stddevs each) on the draw kernels cpuid picked
  * and on the baseline ones. Both must hash equal to the same pattern
- * drawn by per-call gaussian(), or --csv/--json exit nonzero.
+ * drawn by per-call gaussian(), or --csv/--json exit nonzero. The row
+ * also times the two glibc-exact passes against glibc's scalar calls,
+ * per element: log over polar r^2 in 256-element calls (a polarFinish
+ * chunk) and sin over engine phases in 144-element calls (a row of
+ * 12 dots x 12 wavelengths), with the fraction of elements each pass
+ * hands to glibc; both must equal glibc bitwise.
  *
  * Usage: bench_engine_scaling [--csv] [--json [path]]
  *
@@ -167,6 +177,22 @@ struct RngBenchResult
     double dot_ns;          ///< engine dot pattern, that variant
     double dot_baseline_ns; ///< engine dot pattern, baseline kernels
     bool dot_identical;     ///< both match the per-call reference
+    double log_glibc_ns;    ///< glibc's log per element, polar r^2
+    double log_kernel_ns;   ///< that variant's glibcLog per element
+    double log_deferred;    ///< its elements that called glibc [frac]
+    double sin_glibc_ns;    ///< glibc's sin per element, engine phases
+    double sin_kernel_ns;   ///< that variant's glibcSin per element
+    double sin_deferred;    ///< its elements that called glibc [frac]
+    bool exact_identical;   ///< both passes equal glibc bitwise
+};
+
+/** One element-wise pass timed against glibc's scalar calls. */
+struct ExactPassTiming
+{
+    double glibc_ns;
+    double kernel_ns;
+    double deferred;
+    bool identical;
 };
 
 /** Output hash and cost of one run of the engine's dot draw pattern. */
@@ -230,6 +256,46 @@ runDotPattern(const detail::RngKernels &kernels,
         }
     });
     return run;
+}
+
+/**
+ * ns per element of `pass` (glibcLog or glibcSin) against `glibc`
+ * over `in` in `chunk`-element calls, best of kReps runs of 8 sweeps,
+ * plus the fraction of elements the pass handed to glibc and whether
+ * every output equals glibc's bitwise.
+ */
+template <typename Glibc>
+ExactPassTiming
+timeExactPass(size_t (*pass)(const double *, size_t, double *),
+              Glibc glibc, const std::vector<double> &in, size_t chunk)
+{
+    constexpr int kSweeps = 8;
+    std::vector<double> ref(in.size()), out(in.size());
+    ExactPassTiming t{1e30, 1e30, 0.0, true};
+    size_t deferred = 0;
+    for (int r = 0; r < kReps; ++r) {
+        t.glibc_ns = std::min(t.glibc_ns, secondsOf([&] {
+            for (int s = 0; s < kSweeps; ++s)
+                for (size_t i = 0; i < in.size(); ++i)
+                    ref[i] = glibc(in[i]);
+        }));
+        deferred = 0;
+        t.kernel_ns = std::min(t.kernel_ns, secondsOf([&] {
+            for (int s = 0; s < kSweeps; ++s)
+                for (size_t b = 0; b < in.size(); b += chunk)
+                    deferred += pass(in.data() + b,
+                                     std::min(chunk, in.size() - b),
+                                     out.data() + b);
+        }));
+    }
+    const double elems = static_cast<double>(kSweeps * in.size());
+    t.glibc_ns *= 1e9 / elems;
+    t.kernel_ns *= 1e9 / elems;
+    t.deferred = static_cast<double>(deferred) / elems;
+    t.identical =
+        std::memcmp(ref.data(), out.data(), in.size() * sizeof(double)) ==
+        0;
+    return t;
 }
 
 /** ns/draw of scalar vs blocked-bulk vs Fast sampling. */
@@ -304,6 +370,46 @@ runRngMicrobench()
     res.dot_identical = true;
     res.dot_ns = best(selected, res.dot_identical);
     res.dot_baseline_ns = best(baseline, res.dot_identical);
+
+    // The glibc-exact passes on their engine inputs: accepted polar
+    // r^2 from the selected candidate pass, and drifted phases of a
+    // paper-default 12-wavelength DDot (dispersion + N(0, 2 deg)).
+    constexpr size_t kExactElems = 1 << 15;
+    std::vector<double> r2s(kExactElems), ys(kExactElems);
+    {
+        Rng words(0x1065);
+        std::vector<uint64_t> u(2 * kExactElems);
+        size_t got = 0;
+        while (got < kExactElems) {
+            for (uint64_t &w : u)
+                w = words.nextU64();
+            size_t accepted = 0;
+            selected.polarPairs(u.data(), kExactElems, kExactElems - got,
+                                ys.data() + got, r2s.data() + got,
+                                &accepted);
+            got += accepted;
+        }
+    }
+    std::vector<double> phases(kExactElems);
+    {
+        const core::DDot ddot(12);
+        Rng drift(0x5157);
+        drift.fillGaussian(phases, 0.0, ddot.noiseConfig().phaseNoiseStdRad());
+        for (size_t i = 0; i < kExactElems; ++i)
+            phases[i] += -M_PI / 2.0 + ddot.channels()[i % 12].phase_error;
+    }
+    const ExactPassTiming log_t = timeExactPass(
+        selected.glibcLog, [](double v) { return std::log(v); }, r2s, 256);
+    const ExactPassTiming sin_t = timeExactPass(
+        selected.glibcSin, [](double v) { return std::sin(v); }, phases,
+        144);
+    res.log_glibc_ns = log_t.glibc_ns;
+    res.log_kernel_ns = log_t.kernel_ns;
+    res.log_deferred = log_t.deferred;
+    res.sin_glibc_ns = sin_t.glibc_ns;
+    res.sin_kernel_ns = sin_t.kernel_ns;
+    res.sin_deferred = sin_t.deferred;
+    res.exact_identical = log_t.identical && sin_t.identical;
     return res;
 }
 
@@ -479,6 +585,58 @@ runDecodeScenario()
     return res;
 }
 
+/** Shape of the paper-default decode row (see file header). */
+constexpr size_t kPaperPrompt = 8;
+constexpr size_t kPaperSteps = 4;
+/**
+ * Gaussian draws per measured step of that row: three encoding draws
+ * per MAC of nonzero operands plus the systematic draws. It moves only
+ * if the work or the noise stream changes.
+ */
+constexpr uint64_t kPaperDrawsPerStep = 3454879;
+
+struct PaperDecodeResult
+{
+    double ms_per_step;
+    uint64_t draws_per_step;
+};
+
+/**
+ * The paper-default decode row: DecodeWorkload's model and engine
+ * (weight and K/V plans on, bit-exact) with encoding noise on, so
+ * every MAC takes its magnitude and phase draws and one sin. Prefill
+ * the first kPaperPrompt prompt tokens, warm one step, then time
+ * kPaperSteps steps; best of two sessions.
+ */
+PaperDecodeResult
+runPaperDecode()
+{
+    constexpr int kPaperReps = 2;
+    DecodeWorkload w;
+    w.dcfg.noise.enable_encoding_noise = true;
+    nn::ExecutionEngine engine(
+        nn::EngineConfig{w.dcfg, core::EvalMode::Noisy, 8, true, true});
+    const std::vector<int> prompt(w.prompt.begin(),
+                                  w.prompt.begin() + kPaperPrompt);
+    PaperDecodeResult res{1e30, 0};
+    for (int r = 0; r < kPaperReps; ++r) {
+        nn::InferenceSession session(w.model, engine,
+                                     nn::QuantConfig::w8a8(),
+                                     /*request_id=*/7);
+        session.prefill(prompt);
+        session.decodeStep(w.next[0]);
+        engine.resetStats();
+        const double s = secondsOf([&] {
+            for (size_t i = 1; i <= kPaperSteps; ++i)
+                session.decodeStep(w.next[i]);
+        });
+        res.ms_per_step = std::min(res.ms_per_step, s / kPaperSteps * 1e3);
+        res.draws_per_step =
+            engine.stats().gaussian_draws.load() / kPaperSteps;
+    }
+    return res;
+}
+
 /**
  * Fault-layer acceptance gate (robustness PR). Three engines on the
  * same 256^3 operands and stream:
@@ -648,6 +806,7 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreads(0);
 
     DecodeResult decode = runDecodeScenario();
+    const PaperDecodeResult paper = runPaperDecode();
     FaultGateResult fault = runFaultGate(a, b);
     RngBenchResult rngb = runRngMicrobench();
     uint64_t traced_dropped = 0;
@@ -685,7 +844,15 @@ main(int argc, char **argv)
             << ", \"dot_pattern_ns_per_draw\": " << rngb.dot_ns
             << ", \"dot_pattern_baseline_ns_per_draw\": "
             << rngb.dot_baseline_ns << ", \"dot_pattern_identical\": "
-            << (rngb.dot_identical ? "true" : "false") << "},\n"
+            << (rngb.dot_identical ? "true" : "false")
+            << ", \"log_glibc_ns_per_elem\": " << rngb.log_glibc_ns
+            << ", \"log_kernel_ns_per_elem\": " << rngb.log_kernel_ns
+            << ", \"log_deferred_frac\": " << rngb.log_deferred
+            << ", \"sin_glibc_ns_per_elem\": " << rngb.sin_glibc_ns
+            << ", \"sin_kernel_ns_per_elem\": " << rngb.sin_kernel_ns
+            << ", \"sin_deferred_frac\": " << rngb.sin_deferred
+            << ", \"exact_identical\": "
+            << (rngb.exact_identical ? "true" : "false") << "},\n"
             << "  \"decode\": {\"model\": \"dim" << decode.dim
             << "x2L8H\", \"prompt\": " << decode.prompt
             << ", \"steps\": " << decode.steps
@@ -719,6 +886,14 @@ main(int argc, char **argv)
             << decode.kv_dense_reserve_bytes
             << ", \"kv_paged_resident_bytes\": "
             << decode.kv_paged_resident_bytes << "},\n"
+            << "  \"decode_paper\": {\"model\": \"dim" << decode.dim
+            << "x2L8H\", \"prompt\": " << kPaperPrompt
+            << ", \"steps\": " << kPaperSteps
+            << ", \"noise\": \"paper default\""
+            << ", \"bit_exact_ms_per_step\": " << paper.ms_per_step
+            << ", \"gaussian_draws_per_step\": " << paper.draws_per_step
+            << ", \"pinned_draws_per_step\": " << kPaperDrawsPerStep
+            << "},\n"
             << "  \"fault_gate\": {\"off_vs_verify_identical\": "
             << (fault.off_vs_verify ? "true" : "false")
             << ", \"off_vs_recovered_identical\": "
@@ -749,6 +924,7 @@ main(int argc, char **argv)
     const bool decode_ok = decode.identical && decode.weight_hits > 0 &&
                            decode.weight_misses == 0 &&
                            decode.kv_hits > 0 && decode.kv_misses == 0;
+    const bool paper_draws_ok = paper.draws_per_step == kPaperDrawsPerStep;
     // Noise-pipeline perf gates: the rewritten bit-exact path must
     // hold >= 1.5x over the committed pre-rewrite decode baseline, and
     // the Fast sampler must beat the bit-exact path outright.
@@ -803,15 +979,31 @@ main(int argc, char **argv)
                   << "," << decode.weight_misses << ","
                   << decode.kv_hits << "," << decode.kv_misses
                   << "\n";
+        std::cout << "\ndecode_paper_model,decode_paper_prompt,"
+                     "decode_paper_steps,decode_paper_ms_per_step,"
+                     "decode_paper_gaussian_draws_per_step,"
+                     "decode_paper_pinned_draws_per_step\n"
+                  << "dim" << decode.dim << "x2L8H," << kPaperPrompt
+                  << "," << kPaperSteps << "," << paper.ms_per_step << ","
+                  << paper.draws_per_step << "," << kPaperDrawsPerStep
+                  << "\n";
         std::cout << "\nrng_scalar_ns_per_draw,rng_blocked_ns_per_draw,"
                      "rng_fast_ns_per_draw,rng_kernels,"
                      "rng_dot_pattern_ns_per_draw,"
                      "rng_dot_pattern_baseline_ns_per_draw,"
-                     "rng_dot_pattern_identical\n"
+                     "rng_dot_pattern_identical,"
+                     "rng_log_glibc_ns_per_elem,rng_log_kernel_ns_per_elem,"
+                     "rng_log_deferred_frac,"
+                     "rng_sin_glibc_ns_per_elem,rng_sin_kernel_ns_per_elem,"
+                     "rng_sin_deferred_frac,rng_exact_identical\n"
                   << rngb.scalar_ns << "," << rngb.blocked_ns << ","
                   << rngb.fast_ns << "," << rngb.kernels << ","
                   << rngb.dot_ns << "," << rngb.dot_baseline_ns << ","
-                  << (rngb.dot_identical ? 1 : 0) << "\n";
+                  << (rngb.dot_identical ? 1 : 0) << ","
+                  << rngb.log_glibc_ns << "," << rngb.log_kernel_ns << ","
+                  << rngb.log_deferred << "," << rngb.sin_glibc_ns << ","
+                  << rngb.sin_kernel_ns << "," << rngb.sin_deferred << ","
+                  << (rngb.exact_identical ? 1 : 0) << "\n";
         std::cout << "\nfault_off_vs_verify_identical,"
                      "fault_off_vs_recovered_identical,"
                      "fault_faults_detected,fault_quarantines\n"
@@ -871,6 +1063,14 @@ main(int argc, char **argv)
         if (!rngb.dot_identical)
             std::cerr << "DETERMINISM VIOLATION: bulk draws of the dot "
                          "pattern differ from per-call gaussian()\n";
+        if (!rngb.exact_identical)
+            std::cerr << "DETERMINISM VIOLATION: the " << rngb.kernels
+                      << " glibcLog/glibcSin passes differ from glibc's "
+                         "scalar log/sin\n";
+        if (!paper_draws_ok)
+            std::cerr << "DRAW COUNT VIOLATION: paper-default decode "
+                      << paper.draws_per_step << " draws/step, pinned "
+                      << kPaperDrawsPerStep << "\n";
         if (!fault_ok)
             std::cerr << "FAULT LAYER VIOLATION: off/verify identical="
                       << fault.off_vs_verify
@@ -881,7 +1081,8 @@ main(int argc, char **argv)
                       << " (want identical=1, detected > 0, "
                          "quarantines >= 1)\n";
         return all_identical && decode_ok && perf_ok && fault_ok &&
-                       rngb.dot_identical
+                       rngb.dot_identical && rngb.exact_identical &&
+                       paper_draws_ok
                    ? 0
                    : 1;
     }
@@ -955,6 +1156,13 @@ main(int argc, char **argv)
            "(encoding noise off — with it on,\nper-MAC Gaussian draws "
            "dominate and caching is invisible).\n";
 
+    std::cout << "\nPaper-default noise (encoding noise on, prompt "
+              << kPaperPrompt << ", " << kPaperSteps
+              << " steps, bit-exact): "
+              << units::fmtFixed(paper.ms_per_step, 2) << " ms/step, "
+              << paper.draws_per_step << " draws/step (pinned "
+              << kPaperDrawsPerStep << ").\n";
+
     printBanner(std::cout, "Gaussian draw pipelines: ns/draw");
     Table rtable({"pipeline", "ns/draw"});
     rtable.addRow({"Rng::gaussian (scalar, blocked engine)",
@@ -974,6 +1182,20 @@ main(int argc, char **argv)
                  "stddevs (n = 12, 12, 8); both variants bit-identical "
                  "to\nper-call gaussian(): "
               << (rngb.dot_identical ? "yes" : "NO") << ".\n";
+    Table etable({"pass", "glibc ns/elem", "kernel ns/elem",
+                  "to glibc"});
+    etable.addRow({"log, polar r^2", units::fmtFixed(rngb.log_glibc_ns, 2),
+                   units::fmtFixed(rngb.log_kernel_ns, 2),
+                   units::fmtFixed(rngb.log_deferred, 3)});
+    etable.addRow({"sin, engine phases",
+                   units::fmtFixed(rngb.sin_glibc_ns, 2),
+                   units::fmtFixed(rngb.sin_kernel_ns, 2),
+                   units::fmtFixed(rngb.sin_deferred, 3)});
+    std::cout << "\n";
+    etable.print(std::cout);
+    std::cout << "\n" << rngb.kernels
+              << " glibc-exact passes equal glibc bitwise: "
+              << (rngb.exact_identical ? "yes" : "NO") << ".\n";
     std::cout << "\nDecode perf gates (enforced in --csv/--json): "
                  "bit-exact cache-on <= "
               << units::fmtFixed(kPreRewriteDecodeMsPerStep /

@@ -39,33 +39,42 @@ namespace core {
 /**
  * Caller-owned workspace of the packed tile kernel's noise: one
  * allocation per kernel call (never per tile, k-slice or dot), sized
- * by Dptc::sliceNoiseValues. For a capacity of v values:
+ * by Dptc::sliceNoiseValues and Dptc::slicePhaseValues. For capacities
+ * of v values and p phases:
  *
- *   [0, v)    under encoding noise, one row of a (tile, k-slice)
- *             pass's stddevs in stream order: per dot (column) the 3n
- *             encoding stds of DDot::encodingStds, then its systematic
- *             std (0 when that term is off);
- *   [v, 2v)   the matching draws, from one fillGaussianScaled;
- *             without encoding noise, the pass's systematic eps, one
- *             per output, from one fillGaussian.
+ *   [0, v)            under encoding noise, one row of a (tile,
+ *                     k-slice) pass's stddevs in stream order: per dot
+ *                     (column) the 3n encoding stds of
+ *                     DDot::encodingStds, then its systematic std (0
+ *                     when that term is off);
+ *   [v, 2v)           the matching draws, from one fillGaussianScaled;
+ *                     without encoding noise, the pass's systematic
+ *                     eps, one per output, from one fillGaussian;
+ *   [2v, 2v + p)      under encoding noise, the row's drifted phases,
+ *                     n per dot (DDot::encodingSines);
+ *   [2v + p, 2v + 2p) their sines.
  *
  * where n is the slice depth (<= the wavelength count).
  */
 struct NoiseScratch
 {
     void
-    ensure(size_t values)
+    ensure(size_t values, size_t phases)
     {
         capacity_ = values;
-        buf_.resize(2 * values);
+        phases_ = phases;
+        buf_.resize(2 * values + 2 * phases);
     }
 
     double *stds() { return buf_.data(); }
     double *draws() { return buf_.data() + capacity_; }
+    double *phases() { return buf_.data() + 2 * capacity_; }
+    double *sines() { return buf_.data() + 2 * capacity_ + phases_; }
 
   private:
     std::vector<double> buf_;
     size_t capacity_ = 0;
+    size_t phases_ = 0;
 };
 
 /**
@@ -127,15 +136,32 @@ class DDot
                       double *stds) const;
 
     /**
+     * The drifted phase of every wavelength of `dots` dots whose
+     * encoding draws sit `stride` apart in `draws` (encodingStds'
+     * layout): phases[c n + i] = -pi/2 + phase error_i + draws[c stride
+     * + 3i + 2], the phase analyticNoisyDot takes the sine of, then
+     * sines[c n + i] = sin(phases[c n + i]) from ONE call of the
+     * process's RngKernels::glibcSin (glibc's sin bit for bit; vector
+     * form on the band the drifted phases occupy). The packed tile
+     * kernel calls it once per row of a pass.
+     */
+    void encodingSines(const double *draws, size_t dots, size_t stride,
+                       size_t n, double *phases, double *sines) const;
+
+    /**
      * analyticNoisyDot's arithmetic over encoding noise drawn ahead:
-     * draws[0, 3n) in encodingStds' layout, per-channel coefficients
-     * from flat arrays. Bit-identical to analyticNoisyDot when the
-     * draws are the ones it would take; the packed tile kernel draws
-     * a whole (tile, k-slice) pass in one fill and runs each dot
+     * draws[0, 3n) in encodingStds' layout and sines[0, n) the sines
+     * of their drifted phases from encodingSines, per-channel
+     * coefficients from flat arrays. It calls no libm function: each
+     * MAC's sin is the one encodingSines computed. Bit-identical to
+     * analyticNoisyDot when the draws are the ones it would take; the
+     * packed tile kernel draws a whole row of a (tile, k-slice) pass
+     * in one fill, takes its sines in one pass, and runs each dot
      * through here.
      */
     double noisyDotFromDraws(const double *x, const double *y, size_t n,
-                             const double *draws) const;
+                             const double *draws,
+                             const double *sines) const;
 
     /**
      * Two encoding-noise-free packed dots sharing one x row, with
@@ -174,6 +200,8 @@ class DDot
     std::vector<double> add_coef_;
     std::vector<double> phase_base_;
     std::vector<double> mult_noiseless_;
+    /** The draw kernels Rng picks, for their glibc-exact sin pass. */
+    const detail::RngKernels *kernels_ = &detail::rngKernelVariants().back();
 };
 
 // Defined in the header so the packed tile kernel's slice loop can
@@ -192,16 +220,25 @@ DDot::encodingStds(const double *x, const double *y, size_t n,
     }
 }
 
+inline void
+DDot::encodingSines(const double *draws, size_t dots, size_t stride,
+                    size_t n, double *phases, double *sines) const
+{
+    for (size_t c = 0; c < dots; ++c)
+        for (size_t i = 0; i < n; ++i)
+            phases[c * n + i] = phase_base_[i] + draws[c * stride + 3 * i + 2];
+    kernels_->glibcSin(phases, dots * n, sines);
+}
+
 inline double
 DDot::noisyDotFromDraws(const double *x, const double *y, size_t n,
-                        const double *draws) const
+                        const double *draws, const double *sines) const
 {
     double io = 0.0;
     for (size_t i = 0; i < n; ++i) {
         double xh = x[i] + draws[3 * i];
         double yh = y[i] + draws[3 * i + 1];
-        double phi = phase_base_[i] + draws[3 * i + 2];
-        double mult = mult_base_[i] * (-std::sin(phi));
+        double mult = mult_base_[i] * (-sines[i]);
         double add = add_coef_[i] * (xh * xh - yh * yh) / 2.0;
         io += mult * xh * yh + add;
     }

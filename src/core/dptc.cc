@@ -185,7 +185,7 @@ Dptc::multiply(const Matrix &a, const Matrix &b, EvalMode mode)
     EncodedOperand eb = encode(b, OperandSide::B, mode);
     Matrix out(a.rows(), b.cols(), 0.0);
     NoiseScratch scratch;
-    scratch.ensure(sliceNoiseValues());
+    scratch.ensure(sliceNoiseValues(), slicePhaseValues());
     packedSlice(ea, eb, 0, 0, 0, mode, ea.beta() * eb.beta(), rng_,
                 out, scratch);
     return out;
@@ -312,11 +312,13 @@ Dptc::packedSlice(const EncodedOperand &a, const EncodedOperand &b,
     }
 
     // Encoding noise: one fillGaussianScaled per row of the pass over
-    // the row's dots (see NoiseScratch), then each dot's arithmetic
-    // over its draws. A row bounds the scratch to nv dots.
+    // the row's dots (see NoiseScratch), one sin pass over the row's
+    // cols x depth drifted phases, then each dot's arithmetic over its
+    // draws and sines. A row bounds the scratch to nv dots.
     const size_t enc = 3 * depth;
     const size_t stride = enc + 1;
     double *stds = scratch.stds();
+    const double *sines = scratch.sines();
     for (size_t r = 0; r < rows; ++r) {
         const double *x = a.row(r0 + r) + k0;
         for (size_t c = 0; c < cols; ++c) {
@@ -327,10 +329,12 @@ Dptc::packedSlice(const EncodedOperand &a, const EncodedOperand &b,
         rng.fillGaussianScaled(std::span<double>(draws, cols * stride),
                                std::span<const double>(stds, cols * stride),
                                0.0);
+        ddot_.encodingSines(draws, cols, stride, depth, scratch.phases(),
+                            scratch.sines());
         const double *d = draws;
         for (size_t c = 0; c < cols; ++c, d += stride) {
             double io = ddot_.noisyDotFromDraws(
-                x, b.tileColumn(tc, tk, c), depth, d);
+                x, b.tileColumn(tc, tk, c), depth, d, sines + c * depth);
             io *= (1.0 + d[enc]);
             out(r0 + r, c0 + c) += io * scale;
         }
@@ -359,7 +363,7 @@ Dptc::gemmTiles(const EncodedOperand &a, const EncodedOperand &b,
     // allocated once per call (one call per shard under the
     // ExecutionEngine) — the hot loop itself never allocates.
     NoiseScratch scratch;
-    scratch.ensure(sliceNoiseValues());
+    scratch.ensure(sliceNoiseValues(), slicePhaseValues());
     uint64_t draws = 0;
 
     const bool fast = mode == EvalMode::Noisy &&

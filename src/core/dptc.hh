@@ -140,10 +140,9 @@ class Dptc
      * contiguous pointer, every B-tile column is a contiguous packed
      * run (packed once at encode time instead of re-gathered Nh times
      * per tile), per-channel noise coefficients come from flat
-     * arrays, and the only scratch (one pass's noise stddevs and
-     * draws, NoiseScratch) is a per-call workspace of
-     * sliceNoiseValues() values hoisted out of the hot loop — no
-     * allocations per tile or k-slice. Thread-safe for disjoint tile
+     * arrays, and the only scratch (one pass's noise stddevs, draws,
+     * phases and sines, NoiseScratch) is a per-call workspace hoisted
+     * out of the hot loop — no allocations per tile or k-slice. Thread-safe for disjoint tile
      * ranges; this is the unit the ExecutionEngine shards across core
      * replicas (a stacked-row dispatch calls it once per (row, column
      * tile), each row a [1, k] operand of its own).
@@ -241,15 +240,19 @@ class Dptc
      * configuration draws in bulk: under encoding noise, ONE
      * fillGaussianScaled per row of the pass over the stddevs of the
      * row's dots in stream order (per dot, 3n encoding stds, then the
-     * systematic std; see NoiseScratch), and the dot arithmetic then
-     * runs over the draws; without it, one constant-std fill of the
-     * pass's systematic eps, and the dots run in column pairs with the
+     * systematic std; see NoiseScratch), then ONE glibc-exact sin
+     * pass over the row's cols x depth drifted phases
+     * (DDot::encodingSines), and the dot arithmetic then runs over the
+     * draws and sines; without it, one constant-std fill of the pass's
+     * systematic eps, and the dots run in column pairs with the
      * -sin(phase) gain hoisted. Zero stds consume nothing, so the draw
      * sequence is exactly multiplyNormalized's for RngT = Rng, and the
-     * per-dot one for FastRng. Channel-calibrated dots draw per
+     * per-dot one for FastRng; every sine is glibc's, as the reference
+     * kernel's per-element std::sin. Channel-calibrated dots draw per
      * element (BitExact only). `scratch` must hold sliceNoiseValues()
-     * values. The pass covers rows [r0, r0 + nh) clipped to a's edge:
-     * a one-row operand makes a one-row pass.
+     * values and slicePhaseValues() phases. The pass covers rows
+     * [r0, r0 + nh) clipped to a's edge: a one-row operand makes a
+     * one-row pass.
      */
     template <typename RngT>
     void packedSlice(const EncodedOperand &a, const EncodedOperand &b,
@@ -267,6 +270,14 @@ class Dptc
         return cfg_.nv * (cfg_.noise.enable_encoding_noise
                               ? 3 * cfg_.nlambda + 1
                               : cfg_.nh);
+    }
+
+    /** NoiseScratch phases: one row's nv x nlambda under encoding noise. */
+    size_t
+    slicePhaseValues() const
+    {
+        return cfg_.noise.enable_encoding_noise ? cfg_.nv * cfg_.nlambda
+                                                : 0;
     }
 
     DptcConfig cfg_;

@@ -13,13 +13,18 @@
  * preserved BIT-EXACTLY. The class keeps the control flow (block
  * position, chunking, zero-std compaction); the arithmetic runs in
  * kernels in util/rng_kernels.cc — the mt19937-64 refill, the polar
- * candidate pass, the sqrt/divide half of the transform, and both of
- * the latter fused for gaussian()'s single draw (one call per draw) —
- * compiled as baseline, AVX2 and AVX-512 variants and picked once per
- * process from cpuid (no setting selects them). That file is compiled
- * with fp-contract=off, since a fused x*x + y*y changes the sequence.
+ * candidate pass, the transform, and both of the latter fused for
+ * gaussian()'s single draw (one call per draw) — compiled as baseline,
+ * AVX2 and AVX-512 variants and picked once per process from cpuid (no
+ * setting selects them). That file is compiled with fp-contract=off,
+ * since a fused x*x + y*y changes the sequence. The transform takes
+ * one log per accepted draw (the fresh-distribution semantics discard
+ * the pair's second value), and the SIMD variants compute it in vector
+ * form with glibc's rounding, calling glibc's scalar log only for the
+ * lanes whose rounding they cannot vouch for (RngKernels::glibcLog).
  * tests/test_util.cc pins the sequences of every variant the CPU
- * supports directly against the std:: reference types.
+ * supports directly against the std:: reference types, and each
+ * variant's log and sin against glibc's.
  *
  * The contract every consumer relies on:
  *  - uniform()/uniformInt()/bernoulli() run the std:: distributions over
@@ -114,6 +119,25 @@ struct RngKernels
      */
     size_t (*polarOne)(const uint64_t *u, size_t pairs, double mean,
                        double stddev, double *out, size_t *accepted);
+
+    /**
+     * out[j] = std::log(x[j]) for j < n, equal to glibc's scalar log
+     * bit for bit, in either of glibc's libm variants. The SIMD
+     * variants compute (0, 1] in vector form and call glibc for the
+     * lanes within 1/16 ulp of a rounding midpoint (about 1 in 8) and
+     * for inputs outside (0, 1]. Returns the elements that called
+     * glibc (n for the baseline variant). `out` must not overlap `x`.
+     */
+    size_t (*glibcLog)(const double *x, size_t n, double *out);
+
+    /**
+     * out[j] = std::sin(x[j]) for j < n, equal to glibc's scalar sin
+     * bit for bit, like glibcLog: vector form on the phase band
+     * |x + pi/2| <= 1/4 that DDot's drifted phases occupy, glibc
+     * elsewhere and near rounding midpoints. Returns the elements that
+     * called glibc. `out` must not overlap `x`.
+     */
+    size_t (*glibcSin)(const double *x, size_t n, double *out);
 };
 
 /**

@@ -1,9 +1,10 @@
 /**
  * @file
- * The bit-exact Gaussian draw kernels behind lt::Rng, compiled once
+ * The bit-exact Gaussian draw kernels behind lt::Rng, and the
+ * glibc-exact vector log and sin of the noise arithmetic, compiled once
  * per ISA and picked once per process from cpuid.
  *
- * Four entries over contiguous buffers (see detail::RngKernels), whose
+ * Six entries over contiguous buffers (see detail::RngKernels), whose
  * conversion and arithmetic passes take no data-dependent branch:
  *  - refill: the mt19937-64 twist over the 312-word state block plus
  *    the temper into the output block;
@@ -15,26 +16,36 @@
  *    the want-th accept, so it consumes words exactly as that many
  *    scalar rejection loops do. The caller's ys/r2s hold `want`
  *    elements; nothing is written at or past index `want`;
- *  - polarFinish: y * sqrt(-2 ln r^2 / r^2) * stddev + mean, with
- *    glibc's scalar log kept and the sqrt/divide half vectorized;
+ *  - polarFinish: y * sqrt(-2 ln r^2 / r^2) * stddev + mean, with the
+ *    log pass from glibcLog and the sqrt/divide half vectorized;
  *  - polarOne: one draw in one call (Rng::gaussian), built from the
- *    polarPairs and polarFinish bodies with want == 1.
+ *    polarPairs and polarFinish bodies with want == 1 (its one log is
+ *    glibc's scalar call);
+ *  - glibcLog, glibcSin: glibc's log on (0, 1] and sin on the phase
+ *    band |phi + pi/2| <= 1/4, bit for bit (see exactPassBody): each
+ *    lane computes the function as an unevaluated sum y + e, keeps y
+ *    when y + e lies more than kGuard ulp from a rounding midpoint,
+ *    and hands every other lane (about 1 in 8, plus any input outside
+ *    the domain) to glibc after the vector loop. The baseline variant
+ *    calls glibc for every element.
  *
  * Each kernel is one always-inlined body, instantiated in a baseline
- * function and in [[gnu::target("avx2")]] and
+ * function and in [[gnu::target("avx2,fma")]] and
  * [[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] ones (the
  * AVX-512 candidate pass has its own body); rngKernelVariants() lists
  * those this CPU runs (__builtin_cpu_supports), and Rng uses the
  * last. No flag, option or environment variable selects a variant:
  * builds of src/ with other flags (servebench's) get the same dispatch.
  *
- * Every variant computes its values from the same source (candidates,
+ * Every variant computes its draws from the same source (candidates,
  * finishOne and the finish passes), so every variant reproduces the
  * libstdc++ sequence exactly: each operation is an IEEE-exact one
  * (conversions, power-of-two scales, min, sqrt, divide) or a
  * correctly rounded multiply/add that must stay unfused, which the
- * fp-contract pragma below guarantees. tests/test_util.cc runs every
- * variant the CPU supports against std::normal_distribution.
+ * fp-contract pragma below guarantees; the one libm call, log, returns
+ * glibc's value in every variant. tests/test_util.cc runs every
+ * variant the CPU supports against std::normal_distribution, and its
+ * glibcLog/glibcSin against glibc's scalar log and sin.
  */
 
 // Keep every a*b + c as a rounded multiply followed by a rounded add.
@@ -47,11 +58,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #ifdef __x86_64__
 #include <immintrin.h>
 #endif
 
+#include "util/libm_tables.hh"
 #include "util/rng.hh"
 
 namespace lt {
@@ -243,13 +256,330 @@ finishOne(double y, double r2, double stddev, double mean)
     return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
 }
 
+// ---- glibc-exact vector log and sin -----------------------------------
+//
+// A lane evaluates its function as an unevaluated double-double sum
+// y + e (y = round(y + e)) whose error is below 2^-9 ulp(y) (against
+// __float128 over 2^22 inputs each, at most 2^-15.9 ulp for log and
+// 2^-10.5 ulp for sin, the latter at the band edge). glibc's
+// own sources bound its results' errors at 0.519 ulp (log) and 0.548
+// ulp (sin) in both its FMA and its baseline variants. When y + e lies
+// more than kGuard = 1/16 ulp from a rounding midpoint, the true value
+// lies within 7/16 + 2^-9 ulp of y and more than 0.56 ulp from either
+// neighbor of y, so glibc must return y too. Every other lane, a
+// power-of-two y (whose lower neighbor is half an ulp closer), and every
+// input outside the lane's domain, calls glibc after the vector loop.
+
+/** Distance from a rounding midpoint, in ulp, below which glibc runs. */
+constexpr double kGuard = 1.0 / 16;
+
+/** Elements per block of an exact pass (its deferred-index array). */
+constexpr size_t kExactBlock = 256;
+
+/** Knuth's TwoSum: s + err == a + b exactly, for any magnitudes. */
+template <typename D>
+[[gnu::always_inline]] inline void
+twoSum(const D &a, const D &b, D &s, D &err)
+{
+    s = a + b;
+    const D bb = s - a;
+    err = (a - (s - bb)) + (b - bb);
+}
+
+#ifdef __x86_64__
+// The target-specific lane operations of the exact passes. They are
+// plain inline functions with the variant's target, inlined into the
+// [[gnu::flatten]] kernels below (an always_inline body without the
+// target could not inline them), and take vectors by reference so no
+// vector crosses a call boundary (-Wpsabi). Lane masks are intrinsics:
+// GCC 12 splits 512-bit vector-extension compares into scalar ones.
+
+/** r = a * b + c with one rounding: the exact-product building block. */
+[[gnu::target("avx2,fma")]] inline void
+fmaLanes(const Lanes<4>::D &a, const Lanes<4>::D &b, const Lanes<4>::D &c,
+         Lanes<4>::D &r)
+{
+    r = _mm256_fmadd_pd(a, b, c);
+}
+
+[[gnu::target("avx512f")]] inline void
+fmaLanes(const Lanes<8>::D &a, const Lanes<8>::D &b, const Lanes<8>::D &c,
+         Lanes<8>::D &r)
+{
+    r = _mm512_fmadd_pd(a, b, c);
+}
+
+/** r[l] = table[i[l]]. */
+[[gnu::target("avx2,fma")]] inline void
+gatherLanes(const double *table, const Lanes<4>::U &i, Lanes<4>::D &r)
+{
+    r = _mm256_i64gather_pd(table, (__m256i)i, 8);
+}
+
+[[gnu::target("avx512f")]] inline void
+gatherLanes(const double *table, const Lanes<8>::U &i, Lanes<8>::D &r)
+{
+    r = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, (__m512i)i,
+                                 table, 8);
+}
+
 /**
- * The transform: glibc's scalar log, then the sqrt/divide/scale half,
- * which vectorizes, in finishOne's association order. The sqrt runs
- * through `sqrtInPlace`, the variant's packed sqrt, because std::sqrt
- * stays scalar under GCC's default -fmath-errno.
+ * Bit l set for every lane l that must call glibc: all but the lanes
+ * with d in [lo, hi] whose y is not a power of two (nor 0, subnormal
+ * or NaN) and whose |e| is below (1/2 - kGuard) ulp(y).
  */
-template <void (*sqrtInPlace)(double *, size_t)>
+[[gnu::target("avx2,fma")]] inline unsigned
+deferredLanes(const Lanes<4>::D &y, const Lanes<4>::D &e,
+              const Lanes<4>::D &d, double lo, double hi)
+{
+    const __m256i yb = _mm256_castpd_si256(y);
+    const __m256d ulp = _mm256_castsi256_pd(_mm256_and_si256(
+        yb, _mm256_set1_epi64x(0x7ff0000000000000LL)));
+    const __m256d abs_e = _mm256_andnot_pd(_mm256_set1_pd(-0.0), e);
+    const __m256i mant_zero = _mm256_cmpeq_epi64(
+        _mm256_and_si256(yb, _mm256_set1_epi64x(0x000fffffffffffffLL)),
+        _mm256_setzero_si256());
+    const __m256d keep = _mm256_and_pd(
+        _mm256_and_pd(_mm256_cmp_pd(d, _mm256_set1_pd(lo), _CMP_GE_OQ),
+                      _mm256_cmp_pd(d, _mm256_set1_pd(hi), _CMP_LE_OQ)),
+        _mm256_andnot_pd(
+            _mm256_castsi256_pd(mant_zero),
+            _mm256_cmp_pd(abs_e,
+                          _mm256_mul_pd(ulp, _mm256_set1_pd(
+                                                 (0.5 - kGuard) * 0x1p-52)),
+                          _CMP_LT_OQ)));
+    return ~static_cast<unsigned>(_mm256_movemask_pd(keep)) & 0xFu;
+}
+
+[[gnu::target("avx512f,avx512dq,avx512vl,popcnt")]] inline unsigned
+deferredLanes(const Lanes<8>::D &y, const Lanes<8>::D &e,
+              const Lanes<8>::D &d, double lo, double hi)
+{
+    const __m512i yb = _mm512_castpd_si512(y);
+    const __m512d ulp = _mm512_castsi512_pd(_mm512_and_si512(
+        yb, _mm512_set1_epi64(0x7ff0000000000000LL)));
+    const __m512d abs_e = _mm512_abs_pd(e);
+    const __mmask8 keep =
+        _mm512_cmp_pd_mask(d, _mm512_set1_pd(lo), _CMP_GE_OQ) &
+        _mm512_cmp_pd_mask(d, _mm512_set1_pd(hi), _CMP_LE_OQ) &
+        _mm512_test_epi64_mask(yb,
+                               _mm512_set1_epi64(0x000fffffffffffffLL)) &
+        _mm512_cmp_pd_mask(
+            abs_e,
+            _mm512_mul_pd(ulp, _mm512_set1_pd((0.5 - kGuard) * 0x1p-52)),
+            _CMP_LT_OQ);
+    return ~static_cast<unsigned>(keep) & 0xFFu;
+}
+
+/**
+ * Append j + l to idx[cnt...] for every set bit l of `defer`, in lane
+ * order, and advance cnt past them. idx must hold L slots past cnt.
+ * AVX2 stores every lane and advances by its bit; AVX-512 compresses
+ * the lane numbers in a register and stores them.
+ */
+[[gnu::target("avx2,fma")]] inline void
+collectLanes(std::integral_constant<size_t, 4>, unsigned defer, uint32_t j,
+             uint32_t *idx, size_t &cnt)
+{
+    for (unsigned l = 0; l < 4; ++l) {
+        idx[cnt] = j + l;
+        cnt += (defer >> l) & 1;
+    }
+}
+
+[[gnu::target("avx512f,avx512dq,avx512vl,popcnt")]] inline void
+collectLanes(std::integral_constant<size_t, 8>, unsigned defer, uint32_t j,
+             uint32_t *idx, size_t &cnt)
+{
+    const __m256i lanes = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(j)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i *>(idx + cnt),
+        _mm256_maskz_compress_epi32(static_cast<__mmask8>(defer), lanes));
+    cnt += __builtin_popcount(defer);
+}
+
+#endif
+
+/**
+ * log on [2^-1022, 1]. With x = z 2^k, z in [kLogOff, 2 kLogOff), and
+ * interval i's 1/c and log c = ch + cl from the table:
+ * log x = k ln2 + log c + log1p(r), r = z / c - 1 = rh + rl exactly (an
+ * FMA product error and two exact subtractions; |r| <= 2^-7), and
+ * log1p(r) = r - r^2/2 + r^3 Q(r) with rh - rh^2/2 as a double-double
+ * and the rest, each term far below ulp(y), summed in `lo`. The domain
+ * value d is x.
+ */
+struct LogLanes
+{
+    static constexpr double kLo = 0x1p-1022;
+    static constexpr double kHi = 1.0;
+    static constexpr double kPad = 0.5; ///< fills a short last vector
+
+    static double glibc(double v) { return std::log(v); }
+
+    template <size_t L>
+    [[gnu::always_inline]] static void
+    eval(const typename Lanes<L>::D &x, typename Lanes<L>::D &y,
+         typename Lanes<L>::D &e, typename Lanes<L>::D &d)
+    {
+        using D = typename Lanes<L>::D;
+        using U = typename Lanes<L>::U;
+        namespace m = libm;
+        const U ix = (U)x;
+        const U tmp = ix - m::kLogOff;
+        const U i = (tmp >> (52 - m::kLogTableBits)) &
+                    ((1u << m::kLogTableBits) - 1);
+        const D z = (D)(ix - (tmp & 0xfff0000000000000ULL));
+        // k, the signed top 12 bits of tmp, to double: k + 2^11 is a
+        // 12-bit unsigned field, which the exponent bits of 2^52 make
+        // the exact double 2^52 + k + 2^11.
+        const D k = (D)(((tmp >> 52) ^ 0x800) | 0x4330000000000000ULL) -
+                    (0x1p52 + 0x1p11);
+        D invc{}, ch{}, cl{};
+        gatherLanes(m::kLogInvC, i, invc);
+        gatherLanes(m::kLogCHi, i, ch);
+        gatherLanes(m::kLogCLo, i, cl);
+
+        const D p = z * invc;
+        D pe{};
+        fmaLanes(z, invc, -p, pe);
+        const D r0 = p - 1.0; // exact: p is within 2^-7 of 1
+        const D rh = r0 + pe; // fast two-sum: r0 is 0 or |r0| >= |pe|
+        const D rl = pe - (rh - r0);
+
+        const D sq = rh * rh;
+        D sqe{};
+        fmaLanes(rh, rh, -sq, sqe);
+        const D half = 0.5 * sq;
+        const D s1 = rh - half; // fast two-sum: |half| < |rh|
+        const D e1 = (rh - s1) - half;
+        D q = D{} + m::kLog1pQ[7];
+        for (int j = 6; j >= 0; --j)
+            fmaLanes(q, rh, D{} + m::kLog1pQ[j], q);
+
+        const D kh = k * m::kLn2Hi;
+        D kl{};
+        fmaLanes(k, D{} + m::kLn2Hi, -kh, kl);
+        D s2{}, e2{}, s3{}, e3{};
+        twoSum(kh, ch, s2, e2);
+        twoSum(s2, s1, s3, e3);
+        const D lo = rh * sq * q + (rl - 0.5 * sqe - rh * rl) + e1 +
+                     (e2 + e3) + (kl + k * m::kLn2Lo + cl);
+        y = s3 + lo; // fast two-sum: |lo| < |s3|
+        e = lo - (y - s3);
+        d = x;
+    }
+};
+
+/**
+ * sin on the phase band |phi + pi/2| <= 1/4. t = phi + pi/2 = th + tl,
+ * whose first step t1 = phi + kPio2Hi is exact in the band (Sterbenz);
+ * then sin(phi) = -cos(t) = -1 + t^2/2 + t^4 S(t^2) with t^2 as a
+ * double-double, so y lies in [-1, -cos(1/4)]. The domain value d is
+ * t1.
+ */
+struct SinLanes
+{
+    static constexpr double kLo = -0.25;
+    static constexpr double kHi = 0.25;
+    static constexpr double kPad = -libm::kPio2Hi;
+
+    static double glibc(double v) { return std::sin(v); }
+
+    template <size_t L>
+    [[gnu::always_inline]] static void
+    eval(const typename Lanes<L>::D &phi, typename Lanes<L>::D &y,
+         typename Lanes<L>::D &e, typename Lanes<L>::D &d)
+    {
+        using D = typename Lanes<L>::D;
+        namespace m = libm;
+        const D t1 = phi + m::kPio2Hi;
+        // Fast two-sum: t1 is 0 or a multiple of 2^-52 > kPio2Lo.
+        const D th = t1 + m::kPio2Lo;
+        const D tl = m::kPio2Lo - (th - t1);
+
+        const D uh = th * th;
+        D ue{};
+        fmaLanes(th, th, -uh, ue);
+        const D ul = ue + 2.0 * th * tl;
+        D s = D{} + m::kCosS[5];
+        for (int j = 4; j >= 0; --j)
+            fmaLanes(s, uh, D{} + m::kCosS[j], s);
+        const D hh = 0.5 * uh;
+        const D hl = 0.5 * ul + uh * uh * s;
+        const D s1 = hh - 1.0; // fast two-sum: |hh| < 1
+        const D e1 = hh - (s1 + 1.0);
+        const D lo = e1 + hl;
+        y = s1 + lo; // fast two-sum: |lo| < |s1|
+        e = lo - (y - s1);
+        d = t1;
+    }
+};
+
+#ifdef __x86_64__
+/**
+ * One glibc-exact pass of F (LogLanes, SinLanes): out[j] =
+ * F::glibc(x[j]) for j < n, bit for bit. Per block of kExactBlock
+ * elements, the vector loop stores every lane's y and collects the
+ * lanes it cannot vouch for (deferredLanes), with no data-dependent
+ * branch; a short last vector runs from a copy padded with F::kPad.
+ * The collected lanes then call glibc. Returns how many elements
+ * called glibc. `out` must not overlap `x`.
+ */
+template <size_t L, typename F>
+[[gnu::always_inline]] inline size_t
+exactPassBody(const double *__restrict x, size_t n, double *__restrict out)
+{
+    using D = typename Lanes<L>::D;
+    const std::integral_constant<size_t, L> lanes;
+    uint32_t idx[kExactBlock + L] = {};
+    size_t deferred = 0;
+    for (size_t base = 0; base < n; base += kExactBlock) {
+        const size_t m = std::min(kExactBlock, n - base);
+        const double *xb = x + base;
+        double *ob = out + base;
+        size_t cnt = 0;
+        double t[L] = {}; // the short last vector's padded copy
+        for (size_t j = 0; j < m; j += L) {
+            const size_t real = std::min(L, m - j);
+            const double *src = xb + j;
+            if (real < L) {
+                std::fill(std::copy(xb + j, xb + m, t), t + L, F::kPad);
+                src = t;
+            }
+            D v{}, y{}, e{}, d{};
+            std::memcpy(&v, src, sizeof(D));
+            F::template eval<L>(v, y, e, d);
+            if (real == L) {
+                std::memcpy(ob + j, &y, sizeof(D));
+            } else {
+                std::memcpy(t, &y, sizeof(D));
+                std::copy(t, t + real, ob + j);
+            }
+            collectLanes(lanes,
+                         deferredLanes(y, e, d, F::kLo, F::kHi) &
+                             ((1u << real) - 1),
+                         static_cast<uint32_t>(j), idx, cnt);
+        }
+        for (size_t q = 0; q < cnt; ++q)
+            ob[idx[q]] = F::glibc(xb[idx[q]]);
+        deferred += cnt;
+    }
+    return deferred;
+}
+#endif
+
+/**
+ * The transform: the variant's glibc-exact log pass, then the
+ * sqrt/divide/scale half, which vectorizes, in finishOne's association
+ * order. The sqrt runs through `sqrtInPlace`, the variant's packed
+ * sqrt, because std::sqrt stays scalar under GCC's default
+ * -fmath-errno.
+ */
+template <void (*sqrtInPlace)(double *, size_t),
+          size_t (*logPass)(const double *, size_t, double *)>
 [[gnu::always_inline]] inline void
 polarFinishBody(const double *__restrict ys,
                 const double *__restrict r2s,
@@ -265,8 +595,7 @@ polarFinishBody(const double *__restrict ys,
     }
     // `out` doubles as the scratch row: log, then -2 log / r2, then
     // its sqrt, then the scaled draw.
-    for (size_t j = 0; j < n; ++j)
-        out[j] = std::log(r2s[j]);
+    logPass(r2s, n, out);
     for (size_t j = 0; j < n; ++j)
         out[j] = -2.0 * out[j] / r2s[j];
     sqrtInPlace(out, n);
@@ -321,12 +650,29 @@ sqrtBaseline(double *t, size_t m)
     sqrtTail(t, j, m);
 }
 
+size_t
+glibcLogBaseline(const double *x, size_t n, double *out)
+{
+    for (size_t j = 0; j < n; ++j)
+        out[j] = LogLanes::glibc(x[j]);
+    return n;
+}
+
+size_t
+glibcSinBaseline(const double *x, size_t n, double *out)
+{
+    for (size_t j = 0; j < n; ++j)
+        out[j] = SinLanes::glibc(x[j]);
+    return n;
+}
+
 void
 polarFinishBaseline(const double *ys, const double *r2s,
                     const double *stds, size_t n, double mean,
                     double *out)
 {
-    polarFinishBody<sqrtBaseline>(ys, r2s, stds, n, mean, out);
+    polarFinishBody<sqrtBaseline, glibcLogBaseline>(ys, r2s, stds, n, mean,
+                                                    out);
 }
 
 size_t
@@ -338,20 +684,20 @@ polarOneBaseline(const uint64_t *u, size_t pairs, double mean,
 
 #ifdef __x86_64__
 
-[[gnu::target("avx2")]] void
+[[gnu::target("avx2,fma")]] void
 refillAvx2(uint64_t *state, uint64_t *out)
 {
     refillBody(state, out);
 }
 
-[[gnu::target("avx2")]] size_t
+[[gnu::target("avx2,fma")]] size_t
 polarPairsAvx2(const uint64_t *u, size_t pairs, size_t want, double *ys,
                double *r2s, size_t *accepted)
 {
     return polarPairsBody<4, false>(u, pairs, want, ys, r2s, accepted);
 }
 
-[[gnu::target("avx2")]] void
+[[gnu::target("avx2,fma")]] void
 sqrtAvx2(double *t, size_t m)
 {
     size_t j = 0;
@@ -360,14 +706,26 @@ sqrtAvx2(double *t, size_t m)
     sqrtTail(t, j, m);
 }
 
-[[gnu::target("avx2")]] void
+[[gnu::target("avx2,fma"), gnu::flatten]] size_t
+glibcLogAvx2(const double *x, size_t n, double *out)
+{
+    return exactPassBody<4, LogLanes>(x, n, out);
+}
+
+[[gnu::target("avx2,fma"), gnu::flatten]] size_t
+glibcSinAvx2(const double *x, size_t n, double *out)
+{
+    return exactPassBody<4, SinLanes>(x, n, out);
+}
+
+[[gnu::target("avx2,fma")]] void
 polarFinishAvx2(const double *ys, const double *r2s, const double *stds,
                 size_t n, double mean, double *out)
 {
-    polarFinishBody<sqrtAvx2>(ys, r2s, stds, n, mean, out);
+    polarFinishBody<sqrtAvx2, glibcLogAvx2>(ys, r2s, stds, n, mean, out);
 }
 
-[[gnu::target("avx2")]] size_t
+[[gnu::target("avx2,fma")]] size_t
 polarOneAvx2(const uint64_t *u, size_t pairs, double mean, double stddev,
              double *out, size_t *accepted)
 {
@@ -433,11 +791,23 @@ refillAvx512(uint64_t *state, uint64_t *out)
     refillBody(state, out);
 }
 
+[[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt"), gnu::flatten]] size_t
+glibcLogAvx512(const double *x, size_t n, double *out)
+{
+    return exactPassBody<8, LogLanes>(x, n, out);
+}
+
+[[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt"), gnu::flatten]] size_t
+glibcSinAvx512(const double *x, size_t n, double *out)
+{
+    return exactPassBody<8, SinLanes>(x, n, out);
+}
+
 [[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] void
 polarFinishAvx512(const double *ys, const double *r2s,
                   const double *stds, size_t n, double mean, double *out)
 {
-    polarFinishBody<sqrtAvx2>(ys, r2s, stds, n, mean, out);
+    polarFinishBody<sqrtAvx2, glibcLogAvx512>(ys, r2s, stds, n, mean, out);
 }
 
 // One draw converts one 256-bit vector of four pairs, which nearly
@@ -464,21 +834,26 @@ rngKernelVariants()
     };
     static const Supported supported = [] {
         Supported s{};
-        s.list[s.count++] = {"baseline", refillBaseline,
+        s.list[s.count++] = {"baseline",         refillBaseline,
                              polarPairsBaseline, polarFinishBaseline,
-                             polarOneBaseline};
+                             polarOneBaseline,   glibcLogBaseline,
+                             glibcSinBaseline};
 #ifdef __x86_64__
         __builtin_cpu_init();
-        if (__builtin_cpu_supports("avx2"))
-            s.list[s.count++] = {"avx2", refillAvx2, polarPairsAvx2,
-                                 polarFinishAvx2, polarOneAvx2};
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+            s.list[s.count++] = {"avx2",          refillAvx2,
+                                 polarPairsAvx2,  polarFinishAvx2,
+                                 polarOneAvx2,    glibcLogAvx2,
+                                 glibcSinAvx2};
         if (__builtin_cpu_supports("avx512f") &&
             __builtin_cpu_supports("avx512dq") &&
             __builtin_cpu_supports("avx512vl") &&
             __builtin_cpu_supports("bmi2") &&
             __builtin_cpu_supports("popcnt"))
-            s.list[s.count++] = {"avx512", refillAvx512, polarPairsAvx512,
-                                 polarFinishAvx512, polarOneAvx512};
+            s.list[s.count++] = {"avx512",         refillAvx512,
+                                 polarPairsAvx512, polarFinishAvx512,
+                                 polarOneAvx512,   glibcLogAvx512,
+                                 glibcSinAvx512};
 #endif
         return s;
     }();

@@ -401,7 +401,12 @@ TEST(EncodedOperand, PackedKernelMatchesReferenceKernel)
     // operands with zero rows and columns (zero-std holes in the
     // pass's one fill) or no nonzero at all (beta 0): encode + packed
     // gemmTiles must equal normalizeQuantize + reference gemmTiles
-    // bit-for-bit.
+    // bit-for-bit. The reference takes each MAC's sine from glibc's
+    // std::sin; the packed kernel from one glibcSin pass per row,
+    // whose vector path covers the band |phi + pi/2| <= 1/4. At 30
+    // degrees of phase noise most phases fall outside that band and
+    // call glibc from the pass, and without dispersion every channel
+    // shares the phase base -pi/2.
     struct Shape
     {
         size_t m, k, n;
@@ -416,8 +421,13 @@ TEST(EncodedOperand, PackedKernelMatchesReferenceKernel)
     no_encoding.enable_encoding_noise = false;
     NoiseConfig no_systematic = paper;
     no_systematic.enable_systematic_noise = false;
-    const NoiseConfig configs[] = {paper, phase_only, no_encoding,
-                                   no_systematic};
+    NoiseConfig wide_phase = paper;
+    wide_phase.phase_noise_std_deg = 30.0;
+    NoiseConfig no_dispersion = paper;
+    no_dispersion.enable_dispersion = false;
+    const NoiseConfig configs[] = {paper,         phase_only, no_encoding,
+                                   no_systematic, wide_phase,
+                                   no_dispersion};
     enum class Operands
     {
         Dense,

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -14,7 +16,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/ddot.hh"
 #include "util/fast_rng.hh"
+#include "util/libm_tables.hh"
 #include "util/quantize.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -596,6 +600,221 @@ TEST_P(RngKernelVariant, FillsAcrossTheBlockBoundaryMatchStd)
                 ASSERT_EQ(rng.nextU64(), words[ref.pos])
                     << "want " << want << " off " << off;
             }
+        }
+    }
+}
+
+namespace {
+
+/** Bitwise equality of two doubles (distinguishes -0, +0 and NaNs). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/**
+ * Run one glibcLog/glibcSin entry over `in` in calls of 1-700
+ * elements and return the elements that differ bitwise from `ref`
+ * (printing the first few); `deferred` sums the calls' returns.
+ */
+size_t
+exactPassMismatches(size_t (*pass)(const double *, size_t, double *),
+                    const std::vector<double> &in,
+                    const std::vector<double> &ref, size_t &deferred)
+{
+    std::vector<double> out(in.size());
+    Rng plan(0xCA11);
+    deferred = 0;
+    for (size_t base = 0; base < in.size();) {
+        const size_t n = std::min(
+            in.size() - base, static_cast<size_t>(plan.uniformInt(1, 700)));
+        deferred += pass(in.data() + base, n, out.data() + base);
+        base += n;
+    }
+    size_t bad = 0;
+    for (size_t i = 0; i < in.size(); ++i)
+        if (!sameBits(out[i], ref[i]) && bad++ < 5)
+            ADD_FAILURE() << std::hexfloat << "input " << in[i] << " gave "
+                          << out[i] << ", glibc " << ref[i];
+    return bad;
+}
+
+/** Engine phases: -pi/2 + dispersion phase error + N(0, sigma^2). */
+std::vector<double>
+enginePhases(size_t count, double noise_scale, uint64_t seed)
+{
+    const core::DDot ddot(12);
+    const double sigma =
+        noise_scale * core::NoiseConfig::paperDefault().phaseNoiseStdRad();
+    std::vector<double> drift(count);
+    Rng(seed).fillGaussian(drift, 0.0, sigma);
+    std::vector<double> phases(count);
+    for (size_t i = 0; i < count; ++i)
+        phases[i] = -M_PI / 2.0 +
+                    ddot.channels()[i % ddot.numWavelengths()].phase_error +
+                    drift[i];
+    return phases;
+}
+
+constexpr size_t kExactSamples = size_t{1} << 22;
+
+} // namespace
+
+TEST_P(RngKernelVariant, GlibcLogMatchesGlibcOnPolarRadii)
+{
+    // 2^22 accepted r^2 values from this variant's own candidate pass
+    // over mt19937_64 words: every result must equal glibc's scalar
+    // log bit for bit (run under both glibc libm variants in CI), and
+    // the SIMD variants must keep most lanes out of glibc.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    std::mt19937_64 eng(0x1061);
+    std::vector<uint64_t> words(2 * 4096);
+    std::vector<double> ys(4096), r2s;
+    while (r2s.size() < kExactSamples) {
+        for (uint64_t &w : words)
+            w = eng();
+        size_t accepted = 0;
+        const size_t start = r2s.size();
+        r2s.resize(start + 4096);
+        k->polarPairs(words.data(), 4096, 4096, ys.data(),
+                      r2s.data() + start, &accepted);
+        r2s.resize(start + accepted);
+    }
+    std::vector<double> ref(r2s.size());
+    for (size_t i = 0; i < r2s.size(); ++i)
+        ref[i] = std::log(r2s[i]);
+    size_t deferred = 0;
+    EXPECT_EQ(exactPassMismatches(k->glibcLog, r2s, ref, deferred), 0u);
+    if (std::string_view(k->name) != "baseline")
+        EXPECT_LT(deferred, r2s.size() / 5) << "lanes that called glibc";
+}
+
+TEST_P(RngKernelVariant, GlibcSinMatchesGlibcOnEnginePhases)
+{
+    // 2^22 drifted phases at 1x and 2^22 at 2x the paper's phase noise
+    // over the dispersion phase errors of a 12-wavelength DDot: every
+    // result must equal glibc's scalar sin bit for bit.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    for (double scale : {1.0, 2.0}) {
+        const std::vector<double> phases =
+            enginePhases(kExactSamples, scale, 0x5147);
+        std::vector<double> ref(phases.size());
+        for (size_t i = 0; i < phases.size(); ++i)
+            ref[i] = std::sin(phases[i]);
+        size_t deferred = 0;
+        EXPECT_EQ(exactPassMismatches(k->glibcSin, phases, ref, deferred),
+                  0u)
+            << scale << "x phase noise";
+        if (std::string_view(k->name) != "baseline")
+            EXPECT_LT(deferred, phases.size() / 5)
+                << scale << "x phase noise: lanes that called glibc";
+    }
+}
+
+TEST_P(RngKernelVariant, GlibcLogAndSinMatchGlibcAtEdgeInputs)
+{
+    // Inputs at the ends of each lane's domain and past them, which
+    // must fall back to glibc: r^2 == 1 (log 0), powers of two down to
+    // the smallest r^2 the candidate pass can produce (2^-106, from
+    // the words 2^63 - 2^10 and 2^63), their neighbors, the smallest
+    // normal, subnormals, 0, negatives, values above 1, infinities and
+    // NaN; phases at and just past both band edges |phi + pi/2| = 1/4,
+    // within 2^-20 of -pi/2 (where sin rounds to -1), and far outside.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    const uint64_t kLogOff = detail::libm::kLogOff;
+    const double kPio2Hi = detail::libm::kPio2Hi;
+    const uint64_t smallest_words[2] = {(1ULL << 63) - 1024, 1ULL << 63};
+    double y = 0.0, smallest = 0.0;
+    size_t accepted = 0;
+    k->polarPairs(smallest_words, 1, 1, &y, &smallest, &accepted);
+    ASSERT_EQ(accepted, 1u);
+    ASSERT_EQ(smallest, 0x1p-106);
+
+    std::vector<double> logs = {1.0,
+                                std::nextafter(1.0, 0.0),
+                                0x1p-1022,
+                                0x1p-1074,
+                                0x1.8p-1040,
+                                0.0,
+                                -0.0,
+                                -0.5,
+                                1.5,
+                                2.0,
+                                INFINITY,
+                                -INFINITY,
+                                NAN,
+                                std::bit_cast<double>(kLogOff),
+                                std::nextafter(
+                                    std::bit_cast<double>(kLogOff), 0.0)};
+    for (int e = 0; e <= 106; ++e) {
+        const double p = std::ldexp(1.0, -e);
+        logs.insert(logs.end(), {p, std::nextafter(p, 0.0),
+                                 std::nextafter(p, 2.0)});
+    }
+    std::vector<double> phases = {-M_PI / 2.0, -3.0, 0.0, 1.5, M_PI / 2.0,
+                                  -M_PI, INFINITY, NAN};
+    for (double edge : {-0.25, 0.25}) {
+        double phi = edge - kPio2Hi;
+        for (int step = 0; step < 8; ++step)
+            phi = std::nextafter(phi, 0.0);
+        for (int step = 0; step < 16; ++step) {
+            phases.push_back(phi);
+            phi = std::nextafter(phi, -4.0);
+        }
+    }
+    Rng near(0x2020);
+    for (int i = -64; i <= 64; ++i)
+        phases.push_back(-kPio2Hi + i * 0x1p-52);
+    for (int i = 0; i < 256; ++i)
+        phases.push_back(-kPio2Hi + near.uniform(-0x1p-20, 0x1p-20));
+
+    for (bool sin : {false, true}) {
+        const std::vector<double> &in = sin ? phases : logs;
+        std::vector<double> ref(in.size());
+        for (size_t i = 0; i < in.size(); ++i)
+            ref[i] = sin ? std::sin(in[i]) : std::log(in[i]);
+        size_t deferred = 0;
+        EXPECT_EQ(exactPassMismatches(sin ? k->glibcSin : k->glibcLog, in,
+                                      ref, deferred),
+                  0u)
+            << (sin ? "sin" : "log");
+    }
+}
+
+TEST_P(RngKernelVariant, GlibcLogAndSinWriteExactlyTheirOutputs)
+{
+    // Every length from 0 to 33 (empty, short tails, whole vectors and
+    // tails after them): out[0, n) equals glibc and the slots past it
+    // keep their sentinels. ASan does not instrument the AVX-512 masked
+    // and compress stores, so the sentinels are what checks them.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    constexpr double kSentinel = -123.0;
+    const std::vector<double> phases = enginePhases(33, 1.0, 0x7A11);
+    std::vector<double> r2s(33);
+    Rng gen(0x7A12);
+    for (double &r : r2s)
+        r = gen.uniform(0x1p-20, 1.0);
+    for (size_t n = 0; n <= 33; ++n) {
+        for (bool sin : {false, true}) {
+            const std::vector<double> &in = sin ? phases : r2s;
+            std::vector<double> out(n + 16, kSentinel);
+            (sin ? k->glibcSin : k->glibcLog)(in.data(), n, out.data());
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(sameBits(out[i], sin ? std::sin(in[i])
+                                                 : std::log(in[i])))
+                    << (sin ? "sin" : "log") << " n " << n << " slot " << i;
+            for (size_t i = n; i < out.size(); ++i)
+                EXPECT_EQ(out[i], kSentinel)
+                    << (sin ? "sin" : "log") << " n " << n << " slot " << i;
         }
     }
 }
