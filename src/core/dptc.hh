@@ -126,11 +126,14 @@ class Dptc
      * @param scale multiplies every output (beta_a * beta_b; 1 for
      *        Ideal mode on raw operands)
      * @param stream_seed base seed of this GEMM's noise stream
+     * @param gaussian_draws when non-null, the Gaussian draws this
+     *        call takes are added to it, as the packed overload does
+     *        (so a degraded engine keeps counting them)
      */
     void gemmTiles(const Matrix &a_hat, const Matrix &b_hat,
                    EvalMode mode, double scale, size_t tile_begin,
-                   size_t tile_end, Matrix &out,
-                   uint64_t stream_seed) const;
+                   size_t tile_end, Matrix &out, uint64_t stream_seed,
+                   uint64_t *gaussian_draws = nullptr) const;
 
     /**
      * PACKED KERNEL: same contract as the reference gemmTiles, on
@@ -142,10 +145,11 @@ class Dptc
      * per tile), per-channel noise coefficients come from flat
      * arrays, and the only scratch (one pass's noise stddevs, draws,
      * phases and sines, NoiseScratch) is a per-call workspace hoisted
-     * out of the hot loop — no allocations per tile or k-slice. Thread-safe for disjoint tile
-     * ranges; this is the unit the ExecutionEngine shards across core
-     * replicas (a stacked-row dispatch calls it once per (row, column
-     * tile), each row a [1, k] operand of its own).
+     * out of the hot loop — no allocations per tile or k-slice.
+     * Thread-safe for disjoint tile ranges: a shard of an
+     * ExecutionEngine dispatch calls it once per product, over that
+     * product's contiguous run of the shard's tiles (a stacked-row
+     * dispatch's products are [1, k] rows of their own).
      *
      * `scale` is normally a.beta() * b.beta(); operands must have
      * been encoded for this core's geometry and mode (fatal

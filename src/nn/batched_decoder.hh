@@ -9,9 +9,11 @@
  * row against a [dim, dim] weight. BatchedDecoder::step advances N
  * InferenceSessions one token each *together*, per layer, fusing the
  * same-shape row-GEMMs of all N requests into single stream-addressed
- * gemmBatch calls — so the engine sees O(layers) dispatches per step
- * instead of O(layers x requests), and each dispatch carries enough
- * independent products to shard across every DPTC core replica.
+ * dispatches (per projection a stacked-row call, or a gemmBatch on
+ * backends without row stacking; one gemmBatch each for QK^T and
+ * AV) — so the engine sees O(layers) dispatches per step instead of
+ * O(layers x requests), and each dispatch carries all N requests'
+ * output tiles to shard across the DPTC core replicas.
  *
  * This is the only decode implementation: InferenceSession::decodeStep
  * is step() over a batch of one, and ingest() is step() cut short for

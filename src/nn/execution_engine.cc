@@ -35,54 +35,114 @@ ExecutionEngine::ExecutionEngine(const core::DptcConfig &dcfg,
 {
 }
 
-Matrix
-ExecutionEngine::gemmOneProduct(const core::EncodedOperand &a,
-                                const core::EncodedOperand &b,
-                                bool parallel_tiles,
-                                const core::Dptc &proto,
-                                uint64_t stream_seed)
+std::vector<Matrix>
+ExecutionEngine::run(std::span<const ProductRef> products,
+                     std::span<const uint64_t> streams,
+                     obs::TraceScope &span)
 {
-    // The ONLY cost of the fault layer when disabled: this branch.
-    if (fault_active_)
-        return gemmOneProductChecked(a, b, parallel_tiles,
-                                     stream_seed);
-
-    const size_t tiles = proto.outputTilesFor(a.rows(), b.cols());
-    Matrix out(a.rows(), b.cols(), 0.0);
-
+    const size_t n = products.size();
+    if (streams.size() != n)
+        lt_fatal("ExecutionEngine: ", streams.size(), " streams for ", n,
+                 " products");
+    const core::Dptc &proto = cores_.front();
     const core::EvalMode mode = cfg_.mode;
-    const double scale = a.beta() * b.beta();
 
-    if (!parallel_tiles || tiles == 1) {
-        uint64_t draws = 0;
-        proto.gemmTiles(a, b, mode, scale, 0, tiles, out, stream_seed,
-                        &draws);
-        if (draws != 0)
-            stats_.gaussian_draws.fetch_add(draws,
-                                            std::memory_order_relaxed);
-        return out;
+    // 1. Validate and count every product and allocate its output.
+    //    Product i owns the call's units [first_unit[i],
+    //    first_unit[i + 1]): its output tiles, in order.
+    std::vector<Matrix> results;
+    results.reserve(n);
+    std::vector<size_t> first_unit(n + 1, 0);
+    int64_t macs = 0;
+    int64_t encoded = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const ProductRef &p = products[i];
+        size_t cols = p.b.cols();
+        if (p.b_plan != nullptr) {
+            validateEncoded(p.a, *p.b_plan);
+            recordEncodedHit(*p.b_plan);
+            cols = p.b_plan->cols();
+            ++encoded;
+        } else if (p.a.cols() != p.b.rows()) {
+            lt_fatal("ExecutionEngine: inner dimension mismatch: ",
+                     p.a.cols(), " vs ", p.b.rows());
+        }
+        stats_.record(p.a.rows(), p.a.cols(), cols);
+        macs += static_cast<int64_t>(p.a.rows() * p.a.cols() * cols);
+        results.emplace_back(p.a.rows(), cols, 0.0);
+        first_unit[i + 1] =
+            first_unit[i] + proto.outputTilesFor(p.a.rows(), cols);
+    }
+    span.setArg(1, "macs", macs);
+    span.setArg(2, "encoded", encoded);
+
+    // 2. Encode each product once, on the first shard that reaches it
+    //    (a shard that needs a product another shard is encoding waits
+    //    for it): its activation, and its right operand unless that
+    //    arrived pre-encoded (weight plan / encoded K-V cache). Encoding
+    //    inside the tile loop keeps one pool dispatch per call.
+    std::vector<core::EncodedOperand> ea(n);
+    std::vector<core::EncodedOperand> eb(n);
+    std::vector<std::once_flag> encode_once(n);
+    auto encode = [&](size_t i) {
+        std::call_once(encode_once[i], [&] {
+            ea[i] = proto.encode(products[i].a, core::OperandSide::A,
+                                 mode);
+            if (products[i].b_plan == nullptr)
+                eb[i] = proto.encode(products[i].b,
+                                     core::OperandSide::B, mode);
+        });
+    };
+    auto rightOf = [&](size_t i) -> const core::EncodedOperand & {
+        return products[i].b_plan != nullptr ? *products[i].b_plan
+                                             : eb[i];
+    };
+    auto seedOf = [&](size_t i) {
+        return deriveSeed(cfg_.dptc.seed, streams[i]);
+    };
+
+    // 3. Run the tiles. The ONLY cost of the fault layer when
+    //    disabled: this branch. Checked products run one after
+    //    another, each on its own healthy snapshot, so a quarantine
+    //    reaches only the products after the one that triggered it,
+    //    never one running beside it.
+    if (fault_active_) {
+        for (size_t i = 0; i < n; ++i) {
+            encode(i);
+            gemmOneProductChecked(ea[i], rightOf(i), seedOf(i),
+                                  results[i]);
+        }
+        return results;
     }
 
-    // Shard output tiles across the core replicas. Shards own disjoint
-    // output regions and every tile's noise is counter-seeded, so the
-    // split affects wall-clock only, never the result. Draw counts
-    // accumulate per shard and fold into the shared atomic once.
-    std::vector<uint64_t> shard_draws(cores_.size(), 0);
+    // Units own disjoint output regions and every tile's noise is
+    // (stream, tile)-seeded, so the split affects wall-clock only,
+    // never the result. Draw counts accumulate per shard and fold
+    // into the shared atomic once per shard.
     ThreadPool::global().parallelFor(
-        tiles,
+        first_unit[n],
         [&](size_t begin, size_t end, size_t shard) {
-            cores_[shard % cores_.size()].gemmTiles(
-                a, b, mode, scale, begin, end, out, stream_seed,
-                &shard_draws[shard % cores_.size()]);
+            uint64_t draws = 0;
+            size_t i = std::upper_bound(first_unit.begin(),
+                                        first_unit.end(), begin) -
+                       first_unit.begin() - 1;
+            for (; begin < end; ++i) {
+                const size_t stop = std::min(end, first_unit[i + 1]);
+                if (stop == begin)
+                    continue; // a product with no output tiles
+                encode(i);
+                const core::EncodedOperand &b = rightOf(i);
+                cores_[shard].gemmTiles(
+                    ea[i], b, mode, ea[i].beta() * b.beta(),
+                    begin - first_unit[i], stop - first_unit[i],
+                    results[i], seedOf(i), &draws);
+                begin = stop;
+            }
+            stats_.gaussian_draws.fetch_add(draws,
+                                            std::memory_order_relaxed);
         },
         cores_.size());
-    uint64_t draws = 0;
-    for (uint64_t d : shard_draws)
-        draws += d;
-    if (draws != 0)
-        stats_.gaussian_draws.fetch_add(draws,
-                                        std::memory_order_relaxed);
-    return out;
+    return results;
 }
 
 namespace {
@@ -100,15 +160,13 @@ zeroRegion(Matrix &out, size_t row0, size_t rows, size_t col0,
 
 } // namespace
 
-Matrix
+void
 ExecutionEngine::gemmOneProductChecked(const core::EncodedOperand &a,
                                        const core::EncodedOperand &b,
-                                       bool parallel_tiles,
-                                       uint64_t stream_seed)
+                                       uint64_t stream_seed, Matrix &out)
 {
     const core::Dptc &proto = cores_.front();
     const size_t tiles = proto.outputTilesFor(a.rows(), b.cols());
-    Matrix out(a.rows(), b.cols(), 0.0);
     const double scale = a.beta() * b.beta();
 
     // Snapshot the healthy set once per product: every tile of this
@@ -121,22 +179,16 @@ ExecutionEngine::gemmOneProductChecked(const core::EncodedOperand &a,
         // the digital reference kernel — same (stream, tile) noise
         // addressing, pinned bit-identical to the packed path — with
         // no injection (quarantined cores do not execute).
-        Matrix a_hat = a.normalized();
-        Matrix b_hat = b.normalized();
-        proto.gemmTiles(a_hat, b_hat, cfg_.mode, scale, 0, tiles, out,
-                        stream_seed);
-        return out;
+        uint64_t draws = 0;
+        proto.gemmTiles(a.normalized(), b.normalized(), cfg_.mode, scale,
+                        0, tiles, out, stream_seed, &draws);
+        stats_.gaussian_draws.fetch_add(draws, std::memory_order_relaxed);
+        return;
     }
 
-    if (!parallel_tiles || tiles == 1) {
-        for (size_t t = 0; t < tiles; ++t)
-            runTileChecked(a, b, scale, t, out, stream_seed, healthy);
-        return out;
-    }
-
-    // Parallel tiles: shards must not leak exceptions into the pool
-    // workers (that would terminate the process) — stash the first
-    // one and rethrow on the calling thread.
+    // Shards must not leak exceptions into the pool workers (that
+    // would terminate the process) — stash the first one and rethrow
+    // on the calling thread.
     std::mutex err_mu;
     std::exception_ptr err;
     ThreadPool::global().parallelFor(
@@ -155,7 +207,6 @@ ExecutionEngine::gemmOneProductChecked(const core::EncodedOperand &a,
         cores_.size());
     if (err)
         std::rethrow_exception(err);
-    return out;
 }
 
 void
@@ -185,9 +236,7 @@ ExecutionEngine::runTileChecked(const core::EncodedOperand &a,
         uint64_t draws = 0;
         cores_[replica].gemmTiles(a, b, cfg_.mode, scale, tile,
                                   tile + 1, out, stream_seed, &draws);
-        if (draws != 0)
-            stats_.gaussian_draws.fetch_add(
-                draws, std::memory_order_relaxed);
+        stats_.gaussian_draws.fetch_add(draws, std::memory_order_relaxed);
         fault_model_.corruptTile(replica, stream_seed, tile, out,
                                  row0, rows, col0, cols, scale);
         if (verifyTile(a, b, scale, tc, out, row0, rows, col0, cols))
@@ -215,10 +264,12 @@ ExecutionEngine::runTileChecked(const core::EncodedOperand &a,
             // Quarantine completed mid-product: digital fallback for
             // this tile, bit-identical to a healthy-replica run.
             zeroRegion(out, row0, rows, col0, cols);
-            Matrix a_hat = a.normalized();
-            Matrix b_hat = b.normalized();
-            cores_.front().gemmTiles(a_hat, b_hat, cfg_.mode, scale,
-                                     tile, tile + 1, out, stream_seed);
+            draws = 0;
+            cores_.front().gemmTiles(a.normalized(), b.normalized(),
+                                     cfg_.mode, scale, tile, tile + 1,
+                                     out, stream_seed, &draws);
+            stats_.gaussian_draws.fetch_add(draws,
+                                            std::memory_order_relaxed);
             return;
         }
         size_t next = fresh[(tile + attempt + 1) % fresh.size()];
@@ -504,24 +555,6 @@ ExecutionEngine::status() const
 }
 
 Matrix
-ExecutionEngine::runProduct(const ProductRef &p, bool parallel_tiles,
-                            const core::Dptc &proto,
-                            uint64_t stream_seed)
-{
-    // Activations are encoded per call, straight from their views;
-    // the right operand is either encoded here too (a view) or
-    // arrives pre-encoded (weight plan / encoded K-V cache).
-    core::EncodedOperand ea =
-        proto.encode(p.a, core::OperandSide::A, cfg_.mode);
-    if (p.b_plan != nullptr)
-        return gemmOneProduct(ea, *p.b_plan, parallel_tiles, proto,
-                              stream_seed);
-    core::EncodedOperand eb =
-        proto.encode(p.b, core::OperandSide::B, cfg_.mode);
-    return gemmOneProduct(ea, eb, parallel_tiles, proto, stream_seed);
-}
-
-Matrix
 ExecutionEngine::gemm(const Matrix &a, const Matrix &b)
 {
     return gemm(a.view(), b.view(), next_stream_.fetch_add(1));
@@ -537,16 +570,9 @@ Matrix
 ExecutionEngine::gemm(const ConstMatrixView &a, const ConstMatrixView &b,
                       uint64_t stream)
 {
-    if (a.cols() != b.rows())
-        lt_fatal("ExecutionEngine::gemm inner dimension mismatch: ",
-                 a.cols(), " vs ", b.rows());
-    stats_.record(a.rows(), a.cols(), b.cols());
-    obs::TraceScope span(
-        "engine/gemm", obs::kNoRequest, "macs",
-        static_cast<int64_t>(a.rows() * a.cols() * b.cols()));
-    return runProduct(ProductRef{a, b, nullptr},
-                      /*parallel_tiles=*/true, cores_.front(),
-                      deriveSeed(cfg_.dptc.seed, stream));
+    const ProductRef p{a, b, nullptr};
+    obs::TraceScope span("engine/gemm", obs::kNoRequest, "products", 1);
+    return std::move(run({&p, 1}, {&stream, 1}, span).front());
 }
 
 void
@@ -614,16 +640,9 @@ Matrix
 ExecutionEngine::gemm(const Matrix &a, const core::EncodedOperand &w,
                       uint64_t stream)
 {
-    validateEncoded(a.view(), w);
-    stats_.record(a.rows(), a.cols(), w.cols());
-    recordEncodedHit(w);
-    obs::TraceScope span(
-        "engine/gemm", obs::kNoRequest, "macs",
-        static_cast<int64_t>(a.rows() * a.cols() * w.cols()),
-        "encoded", 1);
-    return runProduct(ProductRef{a.view(), ConstMatrixView(), &w},
-                      /*parallel_tiles=*/true, cores_.front(),
-                      deriveSeed(cfg_.dptc.seed, stream));
+    const ProductRef p{a.view(), ConstMatrixView(), &w};
+    obs::TraceScope span("engine/gemm", obs::kNoRequest, "products", 1);
+    return std::move(run({&p, 1}, {&stream, 1}, span).front());
 }
 
 std::vector<Matrix>
@@ -634,14 +653,10 @@ ExecutionEngine::gemmBatch(
     // Internal stream ids are claimed for the whole batch up front, in
     // product order — the assignment must not depend on which thread
     // runs which product.
-    const uint64_t stream_base =
-        next_stream_.fetch_add(products.size());
-    std::vector<ProductRef> refs;
-    refs.reserve(products.size());
-    for (const auto &[pa, pb] : products)
-        refs.push_back(ProductRef{pa->view(), pb->view(), nullptr});
-    return gemmBatchImpl(refs,
-                         [&](size_t i) { return stream_base + i; });
+    std::vector<uint64_t> streams(products.size());
+    std::iota(streams.begin(), streams.end(),
+              next_stream_.fetch_add(products.size()));
+    return gemmBatch(products, streams);
 }
 
 std::vector<Matrix>
@@ -650,15 +665,11 @@ ExecutionEngine::gemmBatch(
         &products,
     const std::vector<uint64_t> &streams)
 {
-    if (streams.size() != products.size())
-        lt_fatal("gemmBatch: ", streams.size(), " streams for ",
-                 products.size(), " products");
-    std::vector<ProductRef> refs;
-    refs.reserve(products.size());
+    std::vector<std::pair<ConstMatrixView, ConstMatrixView>> views;
+    views.reserve(products.size());
     for (const auto &[pa, pb] : products)
-        refs.push_back(ProductRef{pa->view(), pb->view(), nullptr});
-    return gemmBatchImpl(refs,
-                         [&](size_t i) { return streams[i]; });
+        views.emplace_back(pa->view(), pb->view());
+    return gemmBatch(views, streams);
 }
 
 std::vector<Matrix>
@@ -667,15 +678,14 @@ ExecutionEngine::gemmBatch(
         &products,
     const std::vector<uint64_t> &streams)
 {
-    if (streams.size() != products.size())
-        lt_fatal("gemmBatch: ", streams.size(), " streams for ",
-                 products.size(), " products");
     std::vector<ProductRef> refs;
     refs.reserve(products.size());
     for (const auto &[va, vb] : products)
         refs.push_back(ProductRef{va, vb, nullptr});
-    return gemmBatchImpl(refs,
-                         [&](size_t i) { return streams[i]; });
+    stats_.recordBatch();
+    obs::TraceScope span("engine/gemmBatch", obs::kNoRequest,
+                         "products", static_cast<int64_t>(refs.size()));
+    return run(refs, streams, span);
 }
 
 std::vector<Matrix>
@@ -700,18 +710,14 @@ ExecutionEngine::gemmBatch(
         &products,
     const std::vector<uint64_t> &streams)
 {
-    if (streams.size() != products.size())
-        lt_fatal("gemmBatch: ", streams.size(), " streams for ",
-                 products.size(), " products");
     std::vector<ProductRef> refs;
     refs.reserve(products.size());
-    for (const auto &[va, pw] : products) {
-        validateEncoded(va, *pw);
-        recordEncodedHit(*pw);
+    for (const auto &[va, pw] : products)
         refs.push_back(ProductRef{va, ConstMatrixView(), pw});
-    }
-    return gemmBatchImpl(refs,
-                         [&](size_t i) { return streams[i]; });
+    stats_.recordBatch();
+    obs::TraceScope span("engine/gemmBatch", obs::kNoRequest,
+                         "products", static_cast<int64_t>(refs.size()));
+    return run(refs, streams, span);
 }
 
 std::vector<Matrix>
@@ -721,144 +727,20 @@ ExecutionEngine::gemmRowStacked(const std::vector<ConstMatrixView> &rows,
 {
     if (rows.empty())
         return {};
-    if (streams.size() != rows.size())
-        lt_fatal("gemmRowStacked: ", streams.size(), " streams for ",
-                 rows.size(), " rows");
+    // Row i is the solo product gemm(rows[i], w, streams[i]): its own
+    // [1, k] encode (beta) and its own stream seed.
+    std::vector<ProductRef> refs;
+    refs.reserve(rows.size());
     for (const ConstMatrixView &r : rows) {
         if (r.rows() != 1)
             lt_fatal("gemmRowStacked: every stacked operand must be "
                      "a single row, got ", r.rows(), " rows");
-        validateEncoded(r, w);
+        refs.push_back(ProductRef{r, ConstMatrixView(), &w});
     }
     stats_.stacked_calls.fetch_add(1, std::memory_order_relaxed);
-    obs::TraceScope span(
-        "engine/gemmRowStacked", obs::kNoRequest, "rows",
-        static_cast<int64_t>(rows.size()), "macs",
-        static_cast<int64_t>(rows.size() * rows.front().cols() *
-                             w.cols()));
-    for (const ConstMatrixView &r : rows) {
-        stats_.record(1, r.cols(), w.cols());
-        recordEncodedHit(w);
-    }
-
-    // Row i is the solo product gemm(rows[i], w, streams[i]): its own
-    // [1, k] encode (beta) and its own stream seed.
-    const size_t n = rows.size();
-    const core::Dptc &proto = cores_.front();
-    const core::EvalMode mode = cfg_.mode;
-    std::vector<core::EncodedOperand> ea(n);
-    std::vector<uint64_t> seeds(n);
-    for (size_t i = 0; i < n; ++i) {
-        ea[i] = proto.encode(rows[i], core::OperandSide::A, mode);
-        seeds[i] = deriveSeed(cfg_.dptc.seed, streams[i]);
-    }
-
-    std::vector<Matrix> results;
-    results.reserve(n);
-    if (fault_active_) {
-        // Checked dispatch verifies per product, so it runs the rows
-        // one after another (the checked path is pinned against the
-        // unchecked one).
-        for (size_t i = 0; i < n; ++i)
-            results.push_back(gemmOneProductChecked(
-                ea[i], w, /*parallel_tiles=*/true, seeds[i]));
-        return results;
-    }
-
-    // A one-row product's output tiles are its column tiles, so the
-    // (row, column tile) units shard across the replicas; each unit
-    // writes straight into its row's result.
-    for (size_t i = 0; i < n; ++i)
-        results.emplace_back(1, w.cols(), 0.0);
-    const size_t tiles_c = proto.outputTilesFor(1, w.cols());
-    const size_t units = n * tiles_c;
-    uint64_t draws = 0;
-    if (units < 2 || cores_.size() == 1) {
-        for (size_t i = 0; i < n; ++i)
-            proto.gemmTiles(ea[i], w, mode, ea[i].beta() * w.beta(), 0,
-                            tiles_c, results[i], seeds[i], &draws);
-    } else {
-        // Units own disjoint output regions and every tile's noise is
-        // (stream, tile)-seeded, so the shard split affects wall-clock
-        // only, never the result.
-        std::vector<uint64_t> shard_draws(cores_.size(), 0);
-        ThreadPool::global().parallelFor(
-            units,
-            [&](size_t begin, size_t end, size_t shard) {
-                const core::Dptc &replica =
-                    cores_[shard % cores_.size()];
-                uint64_t *sd = &shard_draws[shard % cores_.size()];
-                for (size_t u = begin; u < end; ++u) {
-                    const size_t i = u / tiles_c;
-                    const size_t tc = u % tiles_c;
-                    replica.gemmTiles(ea[i], w, mode,
-                                      ea[i].beta() * w.beta(), tc,
-                                      tc + 1, results[i], seeds[i], sd);
-                }
-            },
-            cores_.size());
-        for (uint64_t d : shard_draws)
-            draws += d;
-    }
-    if (draws != 0)
-        stats_.gaussian_draws.fetch_add(draws,
-                                        std::memory_order_relaxed);
-    return results;
-}
-
-std::vector<Matrix>
-ExecutionEngine::gemmBatchImpl(
-    const std::vector<ProductRef> &products,
-    const std::function<uint64_t(size_t)> &streamOf)
-{
-    stats_.recordBatch();
-    obs::TraceScope span("engine/gemmBatch", obs::kNoRequest,
-                         "products",
-                         static_cast<int64_t>(products.size()));
-    std::vector<Matrix> results(products.size());
-    auto seedOf = [&](size_t i) {
-        return deriveSeed(cfg_.dptc.seed, streamOf(i));
-    };
-    auto colsOf = [](const ProductRef &p) {
-        return p.b_plan != nullptr ? p.b_plan->cols() : p.b.cols();
-    };
-    int64_t batch_macs = 0;
-    int64_t encoded_products = 0;
-    for (const ProductRef &p : products) {
-        if (p.a.cols() !=
-            (p.b_plan != nullptr ? p.b_plan->rows() : p.b.rows()))
-            lt_fatal("ExecutionEngine::gemmBatch inner dimension "
-                     "mismatch");
-        stats_.record(p.a.rows(), p.a.cols(), colsOf(p));
-        batch_macs += static_cast<int64_t>(p.a.rows() * p.a.cols() *
-                                           colsOf(p));
-        encoded_products += p.b_plan != nullptr ? 1 : 0;
-    }
-    // Encode-cache attribution: how many of the batch's right-hand
-    // operands arrived pre-encoded (weight plans / encoded K-V).
-    span.setArg(1, "macs", batch_macs);
-    span.setArg(2, "encoded", encoded_products);
-    // Serving regime: enough independent products to keep every core
-    // busy — shard whole products across cores and run each one
-    // sequentially inside its shard. Otherwise parallelize tiles
-    // within each product.
-    const bool shard_products = products.size() >= cores_.size();
-    if (!shard_products) {
-        for (size_t i = 0; i < products.size(); ++i)
-            results[i] = runProduct(products[i], true, cores_.front(),
-                                    seedOf(i));
-        return results;
-    }
-    ThreadPool::global().parallelFor(
-        products.size(),
-        [&](size_t begin, size_t end, size_t shard) {
-            const core::Dptc &replica = cores_[shard % cores_.size()];
-            for (size_t i = begin; i < end; ++i)
-                results[i] = runProduct(products[i], false, replica,
-                                        seedOf(i));
-        },
-        cores_.size());
-    return results;
+    obs::TraceScope span("engine/gemmRowStacked", obs::kNoRequest,
+                         "rows", static_cast<int64_t>(rows.size()));
+    return run(refs, streams, span);
 }
 
 } // namespace nn

@@ -6,9 +6,12 @@
  * tensor cores, each computing one-shot [Nh, Nlambda] x [Nlambda, Nv]
  * tiles in parallel (paper Section IV). This engine is the software
  * mirror of that layout: it owns a pool of identical DPTC core
- * replicas, shards a tiled GEMM's output tiles across them on the
- * global thread pool, and accumulates k-slices digitally per output
- * tile (output-stationary, like the hardware).
+ * replicas and accumulates k-slices digitally per output tile
+ * (output-stationary, like the hardware). Every entry point — a
+ * single gemm, a gemmBatch, a stacked-row dispatch — runs through one
+ * dispatch: the call's (product, output tile) units shard across the
+ * replicas on the global thread pool, for static-weight projections
+ * and dynamic attention products alike.
  *
  * Determinism: every output tile seeds its noise from (stream, tile
  * index) — see Dptc::gemmTiles — so results are bit-identical at any
@@ -29,8 +32,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,6 +42,9 @@
 #include "nn/gemm_backend.hh"
 
 namespace lt {
+namespace obs {
+class TraceScope;
+}
 namespace nn {
 
 /**
@@ -124,9 +130,9 @@ struct EngineConfig
 
     /**
      * Per-replica fault injection (core::FaultModel). Disabled by
-     * default: the engine takes the exact pre-fault dispatch path
-     * (one branch per product) and every golden digest and perf
-     * baseline is unchanged.
+     * default: the engine takes the unchecked tile loop (one branch
+     * per dispatch) and every golden digest and perf baseline is
+     * unchanged.
      */
     core::FaultConfig faults{};
 
@@ -161,12 +167,13 @@ class ExecutionEngine : public GemmBackend
 
     /**
      * Batched execution: run many independent products in one call.
-     * Large batches shard whole products across cores (the serving
-     * regime: many small GEMMs); small batches run each product with
-     * intra-GEMM tile parallelism. Stream ids are assigned to the
-     * products in order before dispatch, so results match gemm()
-     * called per product in order on an engine with the same call
-     * history — regardless of which core runs which product.
+     * The batch's (product, output tile) units shard across the
+     * replicas as one range, so many small GEMMs (the serving regime)
+     * and a few large ones keep the cores equally busy. Stream ids
+     * are assigned to the products in order before dispatch, so
+     * results match gemm() called per product in order on an engine
+     * with the same call history — regardless of which core runs
+     * which tile.
      */
     std::vector<Matrix>
     gemmBatch(const std::vector<std::pair<const Matrix *,
@@ -234,9 +241,10 @@ class ExecutionEngine : public GemmBackend
     // The serve decode regime: N requests' [1, k] rows against the
     // shared pre-encoded weight in ONE dispatch. Row i runs as the
     // solo product gemm(rows[i], w, streams[i]) — its own [1, k]
-    // encode, beta and stream seed, through the packed kernel — and
-    // the (row, column tile) units shard across the replicas, so
-    // result i is bit-identical to that solo product. The dispatch
+    // encode, beta and stream seed — and the rows are that dispatch's
+    // products, so their (row, column tile) units shard across the
+    // replicas like any call's (product, output tile) units and
+    // result i is bit-identical to the solo product. The dispatch
     // saves engine calls, not DPTC passes: each row is a one-row
     // pass, as it is alone. It needs the shared encoded weight, so it
     // is on exactly when weight plans are.
@@ -280,10 +288,9 @@ class ExecutionEngine : public GemmBackend
 
   private:
     /**
-     * One product in the unified batch representation: a left
-     * operand view plus either a right operand view (encoded per
-     * call) or a pre-encoded operand (weight plan / encoded K-V
-     * cache).
+     * One product of a dispatch: a left operand view plus either a
+     * right operand view (encoded per call) or a pre-encoded operand
+     * (weight plan / encoded K-V cache).
      */
     struct ProductRef
     {
@@ -292,24 +299,34 @@ class ExecutionEngine : public GemmBackend
         const core::EncodedOperand *b_plan; ///< …or pre-encoded form
     };
 
-    Matrix gemmOneProduct(const core::EncodedOperand &a,
-                          const core::EncodedOperand &b,
-                          bool parallel_tiles, const core::Dptc &proto,
-                          uint64_t stream_seed);
+    /**
+     * The one dispatch behind every public entry point; product i
+     * draws from stream streams[i]. Validates every product and counts
+     * its call, MACs and encoded hit (the span's "macs" and "encoded"
+     * args, after the adapter's count arg), then runs the tiles.
+     * Fault-armed, products run in order through
+     * gemmOneProductChecked; otherwise the call's (product, output
+     * tile) units shard across the replicas in one parallelFor, and
+     * each shard hands each product's contiguous run of its units to
+     * one Dptc::gemmTiles call. Each product's operands are encoded
+     * once, by the first shard that reaches it.
+     */
+    std::vector<Matrix> run(std::span<const ProductRef> products,
+                            std::span<const uint64_t> streams,
+                            obs::TraceScope &span);
 
     // ---- fault-tolerant dispatch (active iff fault_active_) ------
 
     /**
-     * Checked twin of gemmOneProduct: tiles run one at a time on
-     * tile-indexed healthy replicas, each followed by injection (when
-     * configured) and ABFT checksum verification, with bounded
-     * retries on other replicas and a digital reference fallback once
-     * every replica is quarantined.
+     * Checked product into zero-filled `out`: tiles run in parallel
+     * on tile-indexed replicas of one healthy snapshot, each followed
+     * by injection (when configured) and ABFT checksum verification,
+     * with bounded retries on other replicas and a digital reference
+     * fallback once every replica is quarantined.
      */
-    Matrix gemmOneProductChecked(const core::EncodedOperand &a,
-                                 const core::EncodedOperand &b,
-                                 bool parallel_tiles,
-                                 uint64_t stream_seed);
+    void gemmOneProductChecked(const core::EncodedOperand &a,
+                               const core::EncodedOperand &b,
+                               uint64_t stream_seed, Matrix &out);
 
     /** Execute + verify + recover ONE output tile. */
     void runTileChecked(const core::EncodedOperand &a,
@@ -334,13 +351,6 @@ class ExecutionEngine : public GemmBackend
 
     /** Copy of the healthy replica list (empty = degraded). */
     std::vector<size_t> healthySnapshot() const;
-
-    Matrix runProduct(const ProductRef &p, bool parallel_tiles,
-                      const core::Dptc &proto, uint64_t stream_seed);
-
-    std::vector<Matrix>
-    gemmBatchImpl(const std::vector<ProductRef> &products,
-                  const std::function<uint64_t(size_t)> &streamOf);
 
     void validateEncoded(const ConstMatrixView &a,
                          const core::EncodedOperand &w) const;
@@ -368,8 +378,8 @@ class ExecutionEngine : public GemmBackend
 
     /**
      * True when injection or verification is configured: the single
-     * per-product branch that selects the checked dispatch path. The
-     * false side is the exact pre-fault code — provably zero hot-loop
+     * per-dispatch branch that selects the checked path. The false
+     * side never touches the fault layer — provably zero hot-loop
      * cost (bench_engine_scaling gates it).
      */
     bool fault_active_ = false;

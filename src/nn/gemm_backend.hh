@@ -241,8 +241,9 @@ class GemmBackend
     /**
      * Execute many independent products in one call. Results equal
      * gemm() applied per product, in order; multi-core backends
-     * override this to shard products across their replicas (attention
-     * batches per-head QK^T / AV through here).
+     * override this to shard all the products' output tiles across
+     * their replicas (attention batches per-head QK^T / AV through
+     * here).
      */
     virtual std::vector<Matrix>
     gemmBatch(const std::vector<std::pair<const Matrix *,
@@ -364,11 +365,12 @@ class GemmBackend
     // against the SAME pre-encoded weight. A backend with
     // supportsRowStacking() accepts all N rows in ONE dispatch and
     // runs them as N solo row products: row i is encoded on its own
-    // and draws from stream streams[i], and the engine shards the
-    // (row, column tile) units across its replicas. Each row is still
-    // a one-row DPTC pass, so the dispatch saves engine calls, not
-    // passes. Results are bit-identical per row to gemm(rows[i], w,
-    // streams[i]).
+    // and draws from stream streams[i], and the engine runs the rows
+    // as one dispatch's products, sharding their (row, column tile)
+    // units across its replicas as it does any batch's. Each row is
+    // still a one-row DPTC pass, so the dispatch saves engine calls,
+    // not passes. Results are bit-identical per row to gemm(rows[i],
+    // w, streams[i]).
 
     /** True when this backend fuses stacked row dispatches. */
     virtual bool supportsRowStacking() const { return false; }

@@ -212,6 +212,98 @@ TEST(ExecutionEngine, GemmBatchMatchesPerProductGemm)
         EXPECT_EQ(
             batched[i].maxAbsDiff(seq_engine.gemm(as[i], bs[i])), 0.0)
             << "product " << i;
+
+    // Stream-addressed dispatches: a call's (product, output tile)
+    // units shard across the replicas as one range, so shard
+    // boundaries fall inside products. Products of 1 to 9 output
+    // tiles (m 1..25, n 5..27, k 10..13 — one or two wavelength
+    // slices), batches smaller than, equal to and larger than the
+    // replica count, dense / view / pre-encoded right operands and a
+    // stacked-row call must all give the per-product stream-addressed
+    // gemm's bits, at every replica and thread count.
+    const size_t kProducts = 11;
+    std::vector<Matrix> xs, ys, a_wide, y_t;
+    for (size_t i = 0; i < kProducts; ++i) {
+        const size_t m = 1 + 6 * (i % 5);
+        const size_t k = 10 + i % 4;
+        const size_t n = 5 + 11 * (i % 3);
+        a_wide.push_back(randomMatrix(m, k + 3, rng));
+        xs.push_back(a_wide.back().colsView(2, k).dense());
+        ys.push_back(randomMatrix(k, n, rng));
+        y_t.push_back(ys.back().transposed());
+    }
+    const Matrix w = randomMatrix(13, 27, rng);
+    std::vector<Matrix> rows;
+    for (size_t i = 0; i < kProducts; ++i)
+        rows.push_back(randomMatrix(1, 13, rng));
+    auto streamOf = [](size_t i) { return uint64_t{100 + 3 * i}; };
+
+    nn::ExecutionEngine ref(dcfg, core::EvalMode::Noisy);
+    std::vector<Matrix> want, want_rows;
+    std::vector<core::EncodedOperand> plans;
+    for (size_t i = 0; i < kProducts; ++i) {
+        want.push_back(ref.gemm(xs[i], ys[i], streamOf(i)));
+        want_rows.push_back(ref.gemm(rows[i], w, streamOf(i)));
+        plans.push_back(ref.encodeWeight(ys[i]));
+    }
+    const core::EncodedOperand w_plan = ref.encodeWeight(w);
+
+    std::vector<uint64_t> draws;
+    for (size_t threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (size_t cores : {1u, 3u, 8u}) {
+            nn::ExecutionEngine engine(dcfg, core::EvalMode::Noisy, cores);
+            for (size_t n : {2u, 3u, 8u, 11u}) {
+                std::vector<uint64_t> streams;
+                std::vector<std::pair<const Matrix *, const Matrix *>>
+                    dense;
+                std::vector<std::pair<ConstMatrixView, ConstMatrixView>>
+                    views;
+                std::vector<std::pair<ConstMatrixView,
+                                      const core::EncodedOperand *>>
+                    encoded;
+                for (size_t i = 0; i < n; ++i) {
+                    streams.push_back(streamOf(i));
+                    dense.emplace_back(&xs[i], &ys[i]);
+                    views.emplace_back(
+                        a_wide[i].colsView(2, xs[i].cols()),
+                        y_t[i].transposedView());
+                    encoded.emplace_back(xs[i].view(), &plans[i]);
+                }
+                const std::vector<Matrix> got[] = {
+                    engine.gemmBatch(dense, streams),
+                    engine.gemmBatch(views, streams),
+                    engine.gemmBatch(encoded, streams),
+                };
+                for (size_t kind = 0; kind < 3; ++kind) {
+                    ASSERT_EQ(got[kind].size(), n);
+                    for (size_t i = 0; i < n; ++i)
+                        EXPECT_EQ(got[kind][i].maxAbsDiff(want[i]), 0.0)
+                            << "threads " << threads << " cores "
+                            << cores << " batch " << n << " operand kind "
+                            << kind << " product " << i;
+                }
+            }
+            std::vector<ConstMatrixView> row_views;
+            std::vector<uint64_t> streams;
+            for (size_t i = 0; i < kProducts; ++i) {
+                row_views.push_back(rows[i].view());
+                streams.push_back(streamOf(i));
+            }
+            const std::vector<Matrix> stacked =
+                engine.gemmRowStacked(row_views, w_plan, streams);
+            ASSERT_EQ(stacked.size(), kProducts);
+            for (size_t i = 0; i < kProducts; ++i)
+                EXPECT_EQ(stacked[i].maxAbsDiff(want_rows[i]), 0.0)
+                    << "threads " << threads << " cores " << cores
+                    << " stacked row " << i;
+            draws.push_back(engine.stats().gaussian_draws.load());
+        }
+    }
+    ThreadPool::setGlobalThreads(0);
+    ASSERT_GT(draws.front(), 0u);
+    for (size_t c = 1; c < draws.size(); ++c)
+        EXPECT_EQ(draws[c], draws.front()) << "configuration " << c;
 }
 
 TEST(ExecutionEngine, StreamAddressedGemmIsHistoryIndependent)

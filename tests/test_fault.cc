@@ -131,6 +131,77 @@ TEST(Fault, InjectionAndRecoveryBitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Fault, MultiProductFaultCountsInvariantAcrossThreadCounts)
+{
+    // Quarantine armed (threshold 2) on a dead replica, and dispatches
+    // of many products: a 16-product batch with distinct row counts,
+    // and a 16-row stacked dispatch. Checked products run in order,
+    // each against its own healthy snapshot, so which tiles reach the
+    // dead replica before it is quarantined — and every fault count —
+    // must not depend on how many threads run the tiles.
+    Rng rng(30);
+    const size_t k = 20;
+    const size_t n = 30;
+    std::vector<Matrix> as, bs, rows;
+    for (size_t i = 0; i < 16; ++i) {
+        as.push_back(randomMatrix(1 + i, k, rng));
+        bs.push_back(randomMatrix(k, n, rng));
+        rows.push_back(randomMatrix(1, k, rng));
+    }
+    const Matrix w = randomMatrix(k, n, rng);
+    std::vector<uint64_t> streams;
+    std::vector<std::pair<const Matrix *, const Matrix *>> products;
+    std::vector<ConstMatrixView> row_views;
+    for (size_t i = 0; i < 16; ++i) {
+        streams.push_back(500 + i);
+        products.emplace_back(&as[i], &bs[i]);
+        row_views.push_back(rows[i].view());
+    }
+
+    nn::ExecutionEngine clean(baseConfig(8));
+    const std::vector<Matrix> want = clean.gemmBatch(products, streams);
+    const std::vector<Matrix> want_rows =
+        clean.gemmRowStacked(row_views, clean.encodeWeight(w), streams);
+
+    nn::EngineConfig ecfg = baseConfig(8);
+    ecfg.faults.enabled = true;
+    ecfg.faults.replicas.resize(8);
+    ecfg.faults.replicas[1].dead = true;
+    ecfg.fault_policy.quarantine_threshold = 2;
+
+    for (bool stacked : {false, true}) {
+        std::vector<nn::EngineStatus> statuses;
+        for (size_t threads : {1u, 2u, 4u, 8u}) {
+            ThreadPool::setGlobalThreads(threads);
+            nn::ExecutionEngine engine(ecfg);
+            const std::vector<Matrix> got =
+                stacked ? engine.gemmRowStacked(
+                              row_views, engine.encodeWeight(w), streams)
+                        : engine.gemmBatch(products, streams);
+            const std::vector<Matrix> &ref = stacked ? want_rows : want;
+            ASSERT_EQ(got.size(), ref.size());
+            for (size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(got[i].maxAbsDiff(ref[i]), 0.0)
+                    << "stacked " << stacked << " threads " << threads
+                    << " product " << i;
+            statuses.push_back(engine.status());
+        }
+        ThreadPool::setGlobalThreads(0);
+
+        EXPECT_GE(statuses[0].faults_detected, 2u) << "stacked " << stacked;
+        EXPECT_EQ(statuses[0].quarantines, 1u) << "stacked " << stacked;
+        for (size_t t = 1; t < statuses.size(); ++t) {
+            EXPECT_EQ(statuses[t].faults_detected,
+                      statuses[0].faults_detected)
+                << "stacked " << stacked << " thread run " << t;
+            EXPECT_EQ(statuses[t].fault_retries, statuses[0].fault_retries)
+                << "stacked " << stacked << " thread run " << t;
+            EXPECT_EQ(statuses[t].quarantines, statuses[0].quarantines)
+                << "stacked " << stacked << " thread run " << t;
+        }
+    }
+}
+
 // ---- detection per fault kind ----------------------------------------
 
 TEST(Fault, ChecksumDetectsEveryFaultKindAndRecoversBitExactly)
@@ -335,10 +406,19 @@ TEST(Fault, AllReplicasQuarantinedDegradesToReferencePath)
     EXPECT_EQ(st.quarantines, 4u);
 
     const uint64_t detected = st.faults_detected;
+    const uint64_t draws_before = engine.stats().gaussian_draws.load();
+    const uint64_t clean_before = clean.stats().gaussian_draws.load();
     Matrix after = engine.gemm(a, b, /*stream=*/42);
     EXPECT_EQ(after.maxAbsDiff(clean.gemm(a, b, 42)), 0.0);
     // Quarantined cores no longer execute — no further detections.
     EXPECT_EQ(engine.status().faults_detected, detected);
+    // The reference kernel still counts its draws: the degraded
+    // product draws exactly what the clean engine draws for it.
+    const uint64_t clean_draws =
+        clean.stats().gaussian_draws.load() - clean_before;
+    EXPECT_GT(clean_draws, 0u);
+    EXPECT_EQ(engine.stats().gaussian_draws.load() - draws_before,
+              clean_draws);
 }
 
 // ---- FaultModel unit behaviour ---------------------------------------
