@@ -678,7 +678,6 @@ runFaultGate(const Matrix &a, const Matrix &b)
     nn::EngineConfig verify_cfg = off_cfg;
     verify_cfg.fault_policy.verify = true;
     nn::EngineConfig faulty_cfg = off_cfg;
-    faulty_cfg.faults.enabled = true;
     faulty_cfg.faults.replicas.resize(8);
     faulty_cfg.faults.replicas[2].dead = true;
 

@@ -194,8 +194,7 @@ Dptc::multiply(const Matrix &a, const Matrix &b, EvalMode mode)
 void
 Dptc::gemmTiles(const Matrix &a_hat, const Matrix &b_hat, EvalMode mode,
                 double scale, size_t tile_begin, size_t tile_end,
-                Matrix &out, uint64_t stream_seed,
-                uint64_t *gaussian_draws) const
+                Matrix &out, uint64_t stream_seed) const
 {
     auto cdiv = [](size_t a, size_t b) { return (a + b - 1) / b; };
     const size_t tiles_c = cdiv(b_hat.cols(), cfg_.nv);
@@ -214,8 +213,6 @@ Dptc::gemmTiles(const Matrix &a_hat, const Matrix &b_hat, EvalMode mode,
                 multiplyNormalized(a_hat, b_hat, r0, c0,
                                    tk * cfg_.nlambda, mode, scale,
                                    tile_rng, out);
-            if (gaussian_draws != nullptr)
-                *gaussian_draws += tile_rng.drawCount();
         } else {
             for (size_t tk = 0; tk < tiles_k; ++tk)
                 multiplyNormalized(a_hat, b_hat, r0, c0,

@@ -115,25 +115,22 @@ class Dptc
      * in fixed ascending order (a tile never spans shards).
      *
      * This is the pre-packing implementation (strided B-column
-     * gathers, per-slice scratch), kept as the golden reference the
-     * packed overload below is pinned bit-identical against (tests)
-     * and as ExecutionEngine's digital fallback once every replica is
-     * quarantined. Every other engine product runs the EncodedOperand
-     * overload: the stacked-row dispatch's per-row products, and
-     * bench_engine_scaling's "cache off" decode column (it re-encodes
-     * the operands per call).
+     * gathers, per-slice scratch), kept only as the golden reference
+     * the packed overload below is pinned bit-identical against
+     * (tests). It always draws the BitExact stream. Every engine
+     * product runs the EncodedOperand overload, checked or not, the
+     * fault layer's digital fallback included: the stacked-row
+     * dispatch's per-row products, and bench_engine_scaling's "cache
+     * off" decode column (it re-encodes the operands per call).
      *
      * @param scale multiplies every output (beta_a * beta_b; 1 for
      *        Ideal mode on raw operands)
      * @param stream_seed base seed of this GEMM's noise stream
-     * @param gaussian_draws when non-null, the Gaussian draws this
-     *        call takes are added to it, as the packed overload does
-     *        (so a degraded engine keeps counting them)
      */
     void gemmTiles(const Matrix &a_hat, const Matrix &b_hat,
                    EvalMode mode, double scale, size_t tile_begin,
-                   size_t tile_end, Matrix &out, uint64_t stream_seed,
-                   uint64_t *gaussian_draws = nullptr) const;
+                   size_t tile_end, Matrix &out,
+                   uint64_t stream_seed) const;
 
     /**
      * PACKED KERNEL: same contract as the reference gemmTiles, on
@@ -149,7 +146,8 @@ class Dptc
      * Thread-safe for disjoint tile ranges: a shard of an
      * ExecutionEngine dispatch calls it once per product, over that
      * product's contiguous run of the shard's tiles (a stacked-row
-     * dispatch's products are [1, k] rows of their own).
+     * dispatch's products are [1, k] rows of their own), or, while the
+     * fault layer is armed, once per attempt of each checked tile.
      *
      * `scale` is normally a.beta() * b.beta(); operands must have
      * been encoded for this core's geometry and mode (fatal

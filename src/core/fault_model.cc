@@ -13,8 +13,6 @@ FaultModel::corruptTile(size_t replica, uint64_t stream_seed,
                         size_t rows, size_t col0, size_t cols,
                         double scale) const
 {
-    if (!cfg_.enabled)
-        return false;
     const ReplicaFaultConfig *rc = cfg_.replica(replica);
     if (rc == nullptr)
         return false;

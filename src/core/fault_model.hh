@@ -9,8 +9,7 @@
  * transient accumulator upset, a calibration table that drifted. The
  * FaultModel injects those at the engine's dispatch boundary, after a
  * replica's tile kernel has produced its (noisy) output region, so the
- * hot kernels stay untouched and the off path costs exactly one
- * branch per product.
+ * hot kernels stay untouched and the off path never reaches it.
  *
  * Addressing discipline: whether a fault fires on a given tile is a
  * pure function of (fault seed, replica, stream seed, tile) through
@@ -82,16 +81,14 @@ struct ReplicaFaultConfig
     }
 };
 
-/** Engine-level fault-injection configuration. Off by default. */
+/**
+ * Engine-level fault-injection configuration. Off by default: the
+ * engine arms its checks only when some replica is faulty() (or
+ * FaultPolicy::verify is set), and otherwise stays on the unchecked
+ * tile loop, so every golden digest and perf baseline is unchanged.
+ */
 struct FaultConfig
 {
-    /**
-     * Master switch. False keeps the engine on the exact pre-fault
-     * code path (one branch per product, no per-tile work): every
-     * golden digest and perf baseline is unchanged.
-     */
-    bool enabled = false;
-
     /** Base seed of the fault-activation hash chain. */
     uint64_t seed = 0x4641'554cULL; // "FAUL"
 
@@ -121,12 +118,6 @@ class FaultModel
   public:
     FaultModel() = default;
     explicit FaultModel(const FaultConfig &cfg) : cfg_(cfg) {}
-
-    bool
-    enabled() const
-    {
-        return cfg_.enabled;
-    }
 
     const FaultConfig &config() const { return cfg_; }
 

@@ -15,7 +15,12 @@ namespace nn {
 
 ExecutionEngine::ExecutionEngine(const EngineConfig &cfg)
     : cfg_(cfg), fault_model_(cfg.faults),
-      fault_active_(cfg.faults.enabled || cfg.fault_policy.verify)
+      fault_active_(cfg.fault_policy.verify ||
+                    std::any_of(cfg.faults.replicas.begin(),
+                                cfg.faults.replicas.end(),
+                                [](const core::ReplicaFaultConfig &r) {
+                                    return r.faulty();
+                                }))
 {
     size_t replicas = cfg.num_cores > 0
                           ? cfg.num_cores
@@ -101,24 +106,25 @@ ExecutionEngine::run(std::span<const ProductRef> products,
         return deriveSeed(cfg_.dptc.seed, streams[i]);
     };
 
-    // 3. Run the tiles. The ONLY cost of the fault layer when
-    //    disabled: this branch. Checked products run one after
-    //    another, each on its own healthy snapshot, so a quarantine
-    //    reaches only the products after the one that triggered it,
-    //    never one running beside it.
-    if (fault_active_) {
-        for (size_t i = 0; i < n; ++i) {
-            encode(i);
-            gemmOneProductChecked(ea[i], rightOf(i), seedOf(i),
-                                  results[i]);
-        }
-        return results;
-    }
-
-    // Units own disjoint output regions and every tile's noise is
-    // (stream, tile)-seeded, so the split affects wall-clock only,
-    // never the result. Draw counts accumulate per shard and fold
-    // into the shared atomic once per shard.
+    // 3. Run the tiles. Units own disjoint output regions and every
+    //    tile's noise is (stream, tile)-seeded, so the split affects
+    //    wall-clock only, never the result. Draw counts accumulate per
+    //    shard and fold into the shared atomic once per shard.
+    //
+    //    Disarmed, the fault layer costs this branch and one empty()
+    //    test per product run of a shard. Armed, the call reads the
+    //    healthy set once and every checked tile retries over that one
+    //    snapshot, so a quarantine reaches the next call, never a
+    //    sibling tile, and every count is the same at any thread
+    //    count. With every replica quarantined the tiles run unchecked
+    //    (degraded). A tile that runs out of retries throws: its shard
+    //    stops and stashes the first exception (none may leak into a
+    //    pool worker), the other shards run to completion, and the
+    //    call rethrows it.
+    const std::vector<size_t> healthy =
+        fault_active_ ? healthySnapshot() : std::vector<size_t>{};
+    std::mutex err_mu;
+    std::exception_ptr err;
     ThreadPool::global().parallelFor(
         first_unit[n],
         [&](size_t begin, size_t end, size_t shard) {
@@ -126,22 +132,37 @@ ExecutionEngine::run(std::span<const ProductRef> products,
             size_t i = std::upper_bound(first_unit.begin(),
                                         first_unit.end(), begin) -
                        first_unit.begin() - 1;
-            for (; begin < end; ++i) {
-                const size_t stop = std::min(end, first_unit[i + 1]);
-                if (stop == begin)
-                    continue; // a product with no output tiles
-                encode(i);
-                const core::EncodedOperand &b = rightOf(i);
-                cores_[shard].gemmTiles(
-                    ea[i], b, mode, ea[i].beta() * b.beta(),
-                    begin - first_unit[i], stop - first_unit[i],
-                    results[i], seedOf(i), &draws);
-                begin = stop;
+            try {
+                for (; begin < end; ++i) {
+                    const size_t stop = std::min(end, first_unit[i + 1]);
+                    if (stop == begin)
+                        continue; // a product with no output tiles
+                    encode(i);
+                    const core::EncodedOperand &b = rightOf(i);
+                    const double scale = ea[i].beta() * b.beta();
+                    const size_t t0 = begin - first_unit[i];
+                    const size_t t1 = stop - first_unit[i];
+                    if (healthy.empty())
+                        cores_[shard].gemmTiles(ea[i], b, mode, scale, t0,
+                                                t1, results[i], seedOf(i),
+                                                &draws);
+                    else
+                        for (size_t t = t0; t < t1; ++t)
+                            runTileChecked(ea[i], b, scale, t, results[i],
+                                           seedOf(i), healthy, draws);
+                    begin = stop;
+                }
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(err_mu);
+                if (!err)
+                    err = std::current_exception();
             }
             stats_.gaussian_draws.fetch_add(draws,
                                             std::memory_order_relaxed);
         },
         cores_.size());
+    if (err)
+        std::rethrow_exception(err);
     return results;
 }
 
@@ -161,60 +182,12 @@ zeroRegion(Matrix &out, size_t row0, size_t rows, size_t col0,
 } // namespace
 
 void
-ExecutionEngine::gemmOneProductChecked(const core::EncodedOperand &a,
-                                       const core::EncodedOperand &b,
-                                       uint64_t stream_seed, Matrix &out)
-{
-    const core::Dptc &proto = cores_.front();
-    const size_t tiles = proto.outputTilesFor(a.rows(), b.cols());
-    const double scale = a.beta() * b.beta();
-
-    // Snapshot the healthy set once per product: every tile of this
-    // product sees the same replica assignment (tile-indexed, thread-
-    // count invariant); quarantines land in the next product's
-    // snapshot (or in retry re-snapshots).
-    std::vector<size_t> healthy = healthySnapshot();
-    if (healthy.empty()) {
-        // Fully degraded: every replica quarantined. Unpack and run
-        // the digital reference kernel — same (stream, tile) noise
-        // addressing, pinned bit-identical to the packed path — with
-        // no injection (quarantined cores do not execute).
-        uint64_t draws = 0;
-        proto.gemmTiles(a.normalized(), b.normalized(), cfg_.mode, scale,
-                        0, tiles, out, stream_seed, &draws);
-        stats_.gaussian_draws.fetch_add(draws, std::memory_order_relaxed);
-        return;
-    }
-
-    // Shards must not leak exceptions into the pool workers (that
-    // would terminate the process) — stash the first one and rethrow
-    // on the calling thread.
-    std::mutex err_mu;
-    std::exception_ptr err;
-    ThreadPool::global().parallelFor(
-        tiles,
-        [&](size_t begin, size_t end, size_t) {
-            try {
-                for (size_t t = begin; t < end; ++t)
-                    runTileChecked(a, b, scale, t, out, stream_seed,
-                                   healthy);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(err_mu);
-                if (!err)
-                    err = std::current_exception();
-            }
-        },
-        cores_.size());
-    if (err)
-        std::rethrow_exception(err);
-}
-
-void
 ExecutionEngine::runTileChecked(const core::EncodedOperand &a,
                                 const core::EncodedOperand &b,
                                 double scale, size_t tile, Matrix &out,
                                 uint64_t stream_seed,
-                                const std::vector<size_t> &healthy)
+                                const std::vector<size_t> &healthy,
+                                uint64_t &draws)
 {
     const core::DptcConfig &g = cfg_.dptc;
     const size_t m = a.rows();
@@ -227,16 +200,21 @@ ExecutionEngine::runTileChecked(const core::EncodedOperand &a,
     const size_t rows = std::min(g.nh, m - row0);
     const size_t cols = std::min(g.nv, n - col0);
 
-    // Tile-indexed replica assignment: which replica executes (and
-    // therefore which faults can fire) depends only on the tile and
-    // the product-start healthy set — never on thread count.
-    size_t replica = healthy[tile % healthy.size()];
-    for (size_t attempt = 0;; ++attempt) {
+    // Attempt r runs on snapshot replica (tile + r) mod |snapshot|:
+    // which replicas a tile tries, and therefore which faults can
+    // fire, depends only on the tile and the call's snapshot — never
+    // on thread count or on what sibling tiles record meanwhile.
+    for (size_t attempt = 0; attempt < healthy.size(); ++attempt) {
+        const size_t replica = healthy[(tile + attempt) % healthy.size()];
+        if (attempt > 0) {
+            stats_.fault_retries.fetch_add(1, std::memory_order_relaxed);
+            obs::traceInstant("fault/retry", obs::kNoRequest, "replica",
+                              static_cast<int64_t>(replica), "tile",
+                              static_cast<int64_t>(tile));
+        }
         zeroRegion(out, row0, rows, col0, cols);
-        uint64_t draws = 0;
         cores_[replica].gemmTiles(a, b, cfg_.mode, scale, tile,
                                   tile + 1, out, stream_seed, &draws);
-        stats_.gaussian_draws.fetch_add(draws, std::memory_order_relaxed);
         fault_model_.corruptTile(replica, stream_seed, tile, out,
                                  row0, rows, col0, cols, scale);
         if (verifyTile(a, b, scale, tc, out, row0, rows, col0, cols))
@@ -255,32 +233,14 @@ ExecutionEngine::runTileChecked(const core::EncodedOperand &a,
                 std::to_string(attempt + 1) +
                 " attempts across replicas (tile " +
                 std::to_string(tile) + ")");
-
-        // Re-resolve the healthy set (the fault we just recorded may
-        // have quarantined this replica) and move to a different
-        // survivor — deterministically, so recovery replays exactly.
-        std::vector<size_t> fresh = healthySnapshot();
-        if (fresh.empty()) {
-            // Quarantine completed mid-product: digital fallback for
-            // this tile, bit-identical to a healthy-replica run.
-            zeroRegion(out, row0, rows, col0, cols);
-            draws = 0;
-            cores_.front().gemmTiles(a.normalized(), b.normalized(),
-                                     cfg_.mode, scale, tile, tile + 1,
-                                     out, stream_seed, &draws);
-            stats_.gaussian_draws.fetch_add(draws,
-                                            std::memory_order_relaxed);
-            return;
-        }
-        size_t next = fresh[(tile + attempt + 1) % fresh.size()];
-        if (next == replica && fresh.size() > 1)
-            next = fresh[(tile + attempt + 2) % fresh.size()];
-        stats_.fault_retries.fetch_add(1, std::memory_order_relaxed);
-        obs::traceInstant("fault/retry", obs::kNoRequest, "replica",
-                          static_cast<int64_t>(next), "tile",
-                          static_cast<int64_t>(tile));
-        replica = next;
     }
+
+    // Digital fallback: the tile failed on every snapshot replica, so
+    // it reruns on the same kernel with the same (stream, tile) noise
+    // and no injection, bit-identical to a healthy-replica run.
+    zeroRegion(out, row0, rows, col0, cols);
+    cores_.front().gemmTiles(a, b, cfg_.mode, scale, tile, tile + 1, out,
+                             stream_seed, &draws);
 }
 
 namespace {

@@ -49,9 +49,9 @@ namespace nn {
 
 /**
  * Detection and recovery knobs of the engine's ABFT layer. Active
- * whenever fault injection is enabled (EngineConfig::faults) or
- * `verify` is set explicitly; otherwise the engine stays on the exact
- * pre-fault code path.
+ * whenever some replica is configured faulty (EngineConfig::faults) or
+ * `verify` is set explicitly; otherwise the engine stays on the
+ * unchecked tile loop.
  */
 struct FaultPolicy
 {
@@ -63,15 +63,17 @@ struct FaultPolicy
     bool verify = false;
 
     /**
-     * Re-executions of a detected-faulty tile (each on a different
-     * healthy replica) before the product gives up with
-     * EngineFaultError.
+     * Re-executions of a detected-faulty tile, each on the next
+     * replica of the call's healthy snapshot, before the call gives
+     * up with EngineFaultError. A tile that fails on every snapshot
+     * replica first falls back to an uninjected run instead.
      */
     size_t max_tile_retries = 3;
 
     /**
-     * Detected faults on one replica before it is quarantined and the
-     * engine reshards over the survivors.
+     * Detected faults on one replica before it is quarantined. The
+     * engine reshards over the survivors from the next call on: a
+     * call's tiles all retry over the snapshot the call started with.
      */
     size_t quarantine_threshold = 3;
 };
@@ -84,8 +86,8 @@ struct EngineStatus
     size_t quarantined_replicas = 0;
 
     /**
-     * Every replica quarantined: products execute on the digital
-     * reference kernel (bit-identical results, photonic speedup
+     * Every replica quarantined: tiles run unchecked and uninjected
+     * on the same kernel (bit-identical results, photonic speedup
      * forfeited) instead of aborting.
      */
     bool degraded = false;
@@ -129,14 +131,15 @@ struct EngineConfig
     bool kv_plans = true;
 
     /**
-     * Per-replica fault injection (core::FaultModel). Disabled by
-     * default: the engine takes the unchecked tile loop (one branch
-     * per dispatch) and every golden digest and perf baseline is
-     * unchanged.
+     * Per-replica fault injection (core::FaultModel). No replica is
+     * faulty by default: every tile runs unchecked and every golden
+     * digest and perf baseline is unchanged. Any faulty() replica arms
+     * the checks.
      */
     core::FaultConfig faults{};
 
-    /** Detection/recovery knobs (active when faults or verify are). */
+    /** Detection/recovery knobs (active when a replica is faulty or
+     *  verify is set). */
     FaultPolicy fault_policy{};
 };
 
@@ -303,13 +306,15 @@ class ExecutionEngine : public GemmBackend
      * The one dispatch behind every public entry point; product i
      * draws from stream streams[i]. Validates every product and counts
      * its call, MACs and encoded hit (the span's "macs" and "encoded"
-     * args, after the adapter's count arg), then runs the tiles.
-     * Fault-armed, products run in order through
-     * gemmOneProductChecked; otherwise the call's (product, output
-     * tile) units shard across the replicas in one parallelFor, and
-     * each shard hands each product's contiguous run of its units to
-     * one Dptc::gemmTiles call. Each product's operands are encoded
-     * once, by the first shard that reaches it.
+     * args, after the adapter's count arg), then runs the tiles: the
+     * call's (product, output tile) units shard across the replicas in
+     * one parallelFor. Unchecked (fault layer disarmed, or every
+     * replica quarantined), each shard hands each product's contiguous
+     * run of its units to one Dptc::gemmTiles call; fault-armed, each
+     * unit runs through runTileChecked against the healthy snapshot
+     * the call read once. Each product's operands are encoded once,
+     * by the first shard that reaches it. A checked tile's
+     * EngineFaultError is rethrown after every shard has finished.
      */
     std::vector<Matrix> run(std::span<const ProductRef> products,
                             std::span<const uint64_t> streams,
@@ -318,21 +323,20 @@ class ExecutionEngine : public GemmBackend
     // ---- fault-tolerant dispatch (active iff fault_active_) ------
 
     /**
-     * Checked product into zero-filled `out`: tiles run in parallel
-     * on tile-indexed replicas of one healthy snapshot, each followed
-     * by injection (when configured) and ABFT checksum verification,
-     * with bounded retries on other replicas and a digital reference
-     * fallback once every replica is quarantined.
+     * Execute + verify + recover ONE output tile of a checked call.
+     * Attempt r runs on replica healthy[(tile + r) mod |healthy|] of
+     * the call's snapshot, followed by injection (when configured)
+     * and ABFT checksum verification. A failed attempt counts a fault
+     * against its replica; past max_tile_retries it throws
+     * EngineFaultError, and after failing on every snapshot replica
+     * the tile reruns uninjected (the digital fallback). The tile's
+     * Gaussian draws, failed attempts included, add to `draws`.
      */
-    void gemmOneProductChecked(const core::EncodedOperand &a,
-                               const core::EncodedOperand &b,
-                               uint64_t stream_seed, Matrix &out);
-
-    /** Execute + verify + recover ONE output tile. */
     void runTileChecked(const core::EncodedOperand &a,
                         const core::EncodedOperand &b, double scale,
                         size_t tile, Matrix &out, uint64_t stream_seed,
-                        const std::vector<size_t> &healthy);
+                        const std::vector<size_t> &healthy,
+                        uint64_t &draws);
 
     /**
      * ABFT verification of one tile region: per-column checksums
@@ -377,10 +381,11 @@ class ExecutionEngine : public GemmBackend
     core::FaultModel fault_model_;
 
     /**
-     * True when injection or verification is configured: the single
-     * per-dispatch branch that selects the checked path. The false
-     * side never touches the fault layer — provably zero hot-loop
-     * cost (bench_engine_scaling gates it).
+     * True when some replica is configured faulty or verification is
+     * set: each dispatch then reads the healthy set once, and a
+     * non-empty snapshot sends its tiles through runTileChecked. The
+     * false side never touches the fault layer — no per-tile cost
+     * (bench_engine_scaling's decode budget runs with it false).
      */
     bool fault_active_ = false;
 

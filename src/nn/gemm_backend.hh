@@ -42,7 +42,7 @@ namespace nn {
  * replicas remained). Transient by design: the engine quarantines
  * repeat offenders between attempts, so a bounded caller-side retry
  * (the serve layer's step retry with backoff) typically lands on a
- * reshaped healthy set — or on the degraded reference path — and
+ * reshaped healthy set — or on the degraded unchecked path — and
  * succeeds.
  */
 class EngineFaultError : public std::runtime_error

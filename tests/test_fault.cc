@@ -3,7 +3,7 @@
  * Tests for the engine's fault-tolerance layer: deterministic
  * injection (core::FaultModel), ABFT checksum detection of every
  * fault kind, recovery bit-identity (retry on healthy replicas,
- * quarantine + reshard, degraded reference fallback), the
+ * quarantine + reshard, digital fallback and degraded engines), the
  * retry-exhaustion contract, and — the other direction — zero false
  * positives on a max-noise sweep with injection off.
  */
@@ -58,9 +58,11 @@ baseConfig(size_t cores = 4)
 TEST(Fault, DisabledAndVerifyOnlyEnginesMatchBitExactly)
 {
     // Three engines: fault layer off, verification armed with no
-    // injection, and injection configured but every replica healthy.
-    // All three must produce bit-identical noisy results — the
-    // checked dispatch path never changes values, it only checks.
+    // injection, and a replica list with every replica healthy, which
+    // arms nothing (only a faulty() replica or `verify` does). All
+    // three must produce bit-identical noisy results; the verify-only
+    // engine covers the checked path, which never changes values, it
+    // only checks.
     Rng rng(21);
     Matrix a = randomMatrix(50, 40, rng);
     Matrix b = randomMatrix(40, 30, rng);
@@ -69,7 +71,6 @@ TEST(Fault, DisabledAndVerifyOnlyEnginesMatchBitExactly)
     nn::EngineConfig verify = baseConfig();
     verify.fault_policy.verify = true;
     nn::EngineConfig armed = baseConfig();
-    armed.faults.enabled = true;
     armed.faults.replicas.resize(4); // all healthy
 
     nn::ExecutionEngine e_off(off);
@@ -99,7 +100,6 @@ TEST(Fault, InjectionAndRecoveryBitIdenticalAcrossThreadCounts)
     Matrix b = randomMatrix(40, 30, rng);
 
     nn::EngineConfig ecfg = baseConfig();
-    ecfg.faults.enabled = true;
     ecfg.faults.replicas.resize(4);
     ecfg.faults.replicas[1].dead = true;
     ecfg.fault_policy.quarantine_threshold = 1000;
@@ -133,12 +133,14 @@ TEST(Fault, InjectionAndRecoveryBitIdenticalAcrossThreadCounts)
 
 TEST(Fault, MultiProductFaultCountsInvariantAcrossThreadCounts)
 {
-    // Quarantine armed (threshold 2) on a dead replica, and dispatches
-    // of many products: a 16-product batch with distinct row counts,
-    // and a 16-row stacked dispatch. Checked products run in order,
-    // each against its own healthy snapshot, so which tiles reach the
-    // dead replica before it is quarantined — and every fault count —
-    // must not depend on how many threads run the tiles.
+    // Quarantine armed on dead replicas, and three dispatches: a
+    // 16-product batch with distinct row counts and a 16-row stacked
+    // dispatch (replica 1 dead, threshold 2), and one product whose
+    // dead replicas are quarantined while its own tiles still run.
+    // A checked call reads the healthy set once and every tile's
+    // attempts walk that one snapshot, so which replicas each tile
+    // tries — and every fault count — must not depend on how many
+    // threads run the tiles, nor on when a sibling tile quarantines.
     Rng rng(30);
     const size_t k = 20;
     const size_t n = 30;
@@ -164,7 +166,6 @@ TEST(Fault, MultiProductFaultCountsInvariantAcrossThreadCounts)
         clean.gemmRowStacked(row_views, clean.encodeWeight(w), streams);
 
     nn::EngineConfig ecfg = baseConfig(8);
-    ecfg.faults.enabled = true;
     ecfg.faults.replicas.resize(8);
     ecfg.faults.replicas[1].dead = true;
     ecfg.fault_policy.quarantine_threshold = 2;
@@ -199,6 +200,38 @@ TEST(Fault, MultiProductFaultCountsInvariantAcrossThreadCounts)
             EXPECT_EQ(statuses[t].quarantines, statuses[0].quarantines)
                 << "stacked " << stacked << " thread run " << t;
         }
+    }
+
+    // A quarantine landing mid-product: one [96, 20] x [20, 96]
+    // product (64 tiles) on 8 replicas with replicas 1-3 dead and
+    // threshold 3. Each dead replica crosses the threshold while the
+    // product's other tiles are still trying it.
+    const Matrix big_a = randomMatrix(96, k, rng);
+    const Matrix big_b = randomMatrix(k, 96, rng);
+    const Matrix want_big = clean.gemm(big_a, big_b, /*stream=*/600);
+    nn::EngineConfig mid = baseConfig(8);
+    mid.faults.replicas.resize(8);
+    for (size_t r : {1u, 2u, 3u})
+        mid.faults.replicas[r].dead = true;
+    mid.fault_policy.quarantine_threshold = 3;
+    std::vector<nn::EngineStatus> statuses;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+        ThreadPool::setGlobalThreads(threads);
+        nn::ExecutionEngine engine(mid);
+        EXPECT_EQ(engine.gemm(big_a, big_b, 600).maxAbsDiff(want_big), 0.0)
+            << "threads " << threads;
+        statuses.push_back(engine.status());
+    }
+    ThreadPool::setGlobalThreads(0);
+
+    EXPECT_EQ(statuses[0].quarantines, 3u);
+    for (size_t t = 1; t < statuses.size(); ++t) {
+        EXPECT_EQ(statuses[t].faults_detected, statuses[0].faults_detected)
+            << "mid-product quarantine, thread run " << t;
+        EXPECT_EQ(statuses[t].fault_retries, statuses[0].fault_retries)
+            << "mid-product quarantine, thread run " << t;
+        EXPECT_EQ(statuses[t].quarantines, statuses[0].quarantines)
+            << "mid-product quarantine, thread run " << t;
     }
 }
 
@@ -245,7 +278,6 @@ TEST(Fault, ChecksumDetectsEveryFaultKindAndRecoversBitExactly)
 
     for (const Case &c : cases) {
         nn::EngineConfig ecfg = baseConfig();
-        ecfg.faults.enabled = true;
         ecfg.faults.replicas.resize(4);
         ecfg.faults.replicas[2] = c.fault;
         ecfg.fault_policy.quarantine_threshold = 1000;
@@ -267,7 +299,6 @@ TEST(Fault, ActivationProbabilityGatesInjection)
     Matrix b = randomMatrix(25, 20, rng);
 
     nn::EngineConfig ecfg = baseConfig();
-    ecfg.faults.enabled = true;
     ecfg.faults.replicas.resize(4);
     ecfg.faults.replicas[0].dead = true;
     ecfg.faults.replicas[0].activation_prob = 0.0;
@@ -324,7 +355,6 @@ TEST(Fault, QuarantineReshardsOverSurvivorsBitExactly)
     Matrix b = randomMatrix(40, 30, rng);
 
     nn::EngineConfig ecfg = baseConfig();
-    ecfg.faults.enabled = true;
     ecfg.faults.replicas.resize(4);
     ecfg.faults.replicas[1].dead = true;
     ecfg.fault_policy.quarantine_threshold = 2;
@@ -363,7 +393,6 @@ TEST(Fault, RetryExhaustionThrowsEngineFaultError)
     Matrix b = randomMatrix(20, 18, rng);
 
     nn::EngineConfig ecfg = baseConfig();
-    ecfg.faults.enabled = true;
     ecfg.faults.replicas.resize(4);
     for (auto &r : ecfg.faults.replicas)
         r.dead = true;
@@ -380,45 +409,54 @@ TEST(Fault, AllReplicasQuarantinedDegradesToReferencePath)
 {
     // Aggressive quarantine + a retry budget that outlasts the
     // replica count: the first product quarantines everything and
-    // finishes on the digital fallback; later products take the
-    // degraded full-reference path. Both are bit-identical to a
-    // fault-free engine — the failure mode costs speed, not answers.
+    // each tile, having failed on every replica, finishes on the
+    // digital fallback; later products run unchecked (degraded). Both
+    // are bit-identical to a fault-free engine with the same sampler —
+    // the failure mode costs speed, not answers.
     Rng rng(28);
     Matrix a = randomMatrix(50, 40, rng);
     Matrix b = randomMatrix(40, 30, rng);
 
-    nn::EngineConfig ecfg = baseConfig();
-    ecfg.faults.enabled = true;
-    ecfg.faults.replicas.resize(4);
-    for (auto &r : ecfg.faults.replicas)
-        r.dead = true;
-    ecfg.fault_policy.max_tile_retries = 8;
-    ecfg.fault_policy.quarantine_threshold = 1;
-    nn::ExecutionEngine engine(ecfg);
-    nn::ExecutionEngine clean(baseConfig());
+    for (core::NoiseSampler sampler :
+         {core::NoiseSampler::BitExact, core::NoiseSampler::Fast}) {
+        const int which = static_cast<int>(sampler);
+        nn::EngineConfig clean_cfg = baseConfig();
+        clean_cfg.dptc.noise.sampler = sampler;
+        nn::EngineConfig ecfg = clean_cfg;
+        ecfg.faults.replicas.resize(4);
+        for (auto &r : ecfg.faults.replicas)
+            r.dead = true;
+        ecfg.fault_policy.max_tile_retries = 8;
+        ecfg.fault_policy.quarantine_threshold = 1;
+        nn::ExecutionEngine engine(ecfg);
+        nn::ExecutionEngine clean(clean_cfg);
 
-    Matrix during = engine.gemm(a, b, /*stream=*/41);
-    EXPECT_EQ(during.maxAbsDiff(clean.gemm(a, b, 41)), 0.0);
-    nn::EngineStatus st = engine.status();
-    EXPECT_TRUE(st.degraded);
-    EXPECT_EQ(st.healthy_replicas, 0u);
-    EXPECT_EQ(st.quarantined_replicas, 4u);
-    EXPECT_EQ(st.quarantines, 4u);
+        Matrix during = engine.gemm(a, b, /*stream=*/41);
+        EXPECT_EQ(during.maxAbsDiff(clean.gemm(a, b, 41)), 0.0)
+            << "sampler " << which;
+        nn::EngineStatus st = engine.status();
+        EXPECT_TRUE(st.degraded) << "sampler " << which;
+        EXPECT_EQ(st.healthy_replicas, 0u);
+        EXPECT_EQ(st.quarantined_replicas, 4u);
+        EXPECT_EQ(st.quarantines, 4u);
 
-    const uint64_t detected = st.faults_detected;
-    const uint64_t draws_before = engine.stats().gaussian_draws.load();
-    const uint64_t clean_before = clean.stats().gaussian_draws.load();
-    Matrix after = engine.gemm(a, b, /*stream=*/42);
-    EXPECT_EQ(after.maxAbsDiff(clean.gemm(a, b, 42)), 0.0);
-    // Quarantined cores no longer execute — no further detections.
-    EXPECT_EQ(engine.status().faults_detected, detected);
-    // The reference kernel still counts its draws: the degraded
-    // product draws exactly what the clean engine draws for it.
-    const uint64_t clean_draws =
-        clean.stats().gaussian_draws.load() - clean_before;
-    EXPECT_GT(clean_draws, 0u);
-    EXPECT_EQ(engine.stats().gaussian_draws.load() - draws_before,
-              clean_draws);
+        const uint64_t detected = st.faults_detected;
+        const uint64_t draws_before = engine.stats().gaussian_draws.load();
+        const uint64_t clean_before = clean.stats().gaussian_draws.load();
+        Matrix after = engine.gemm(a, b, /*stream=*/42);
+        EXPECT_EQ(after.maxAbsDiff(clean.gemm(a, b, 42)), 0.0)
+            << "sampler " << which;
+        // Quarantined cores no longer execute — no further detections.
+        EXPECT_EQ(engine.status().faults_detected, detected);
+        // The degraded product still counts its draws: exactly what
+        // the clean engine draws for it.
+        const uint64_t clean_draws =
+            clean.stats().gaussian_draws.load() - clean_before;
+        EXPECT_GT(clean_draws, 0u);
+        EXPECT_EQ(engine.stats().gaussian_draws.load() - draws_before,
+                  clean_draws)
+            << "sampler " << which;
+    }
 }
 
 // ---- FaultModel unit behaviour ---------------------------------------
@@ -428,7 +466,6 @@ TEST(Fault, CorruptTileIsDeterministicPerAddress)
     // The injector is a pure function of (seed, replica, stream,
     // tile): corrupting the same region twice gives the same bytes.
     core::FaultConfig fcfg;
-    fcfg.enabled = true;
     fcfg.replicas.resize(2);
     fcfg.replicas[1].bitflip_prob = 0.2;
     fcfg.replicas[1].activation_prob = 0.7;

@@ -37,6 +37,7 @@
 #include "obs/trace.hh"
 #include "obs/trace_export.hh"
 #include "serve/server.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -962,7 +963,6 @@ TEST(Serve, EngineFaultSoakEveryFutureResolvesBitIdentically)
     faulty.dptc = noisyDptc();
     faulty.mode = core::EvalMode::Noisy;
     faulty.num_cores = 4;
-    faulty.faults.enabled = true;
     faulty.faults.replicas.resize(4);
     faulty.faults.replicas[1].dead = true;
     nn::ExecutionEngine faulty_engine(faulty);
@@ -999,10 +999,9 @@ TEST(Serve, DeadAndStuckReplicasRecoverWithoutFailingOrDegrading)
     // stuck near zero. Every future resolves, the checksum layer
     // detects the faults and quarantines at least one replica without
     // degrading the engine, no request fails, and the recovered
-    // output is bit-identical to a fault-free run. The fault count
-    // itself is not pinned: a retried tile picks its replica from a
-    // healthy set that concurrent tiles may be quarantining, so the
-    // count can differ between runs.
+    // output is bit-identical to a fault-free run. Every engine call
+    // retries its tiles over the healthy set it read once, so the
+    // fault counts are the same at 1 and at 4 pool threads.
     nn::TransformerClassifier model(lmConfig());
     const size_t kRequests = 6, kPrompt = 8, kNew = 12;
 
@@ -1040,37 +1039,48 @@ TEST(Serve, DeadAndStuckReplicasRecoverWithoutFailingOrDegrading)
     nn::EngineConfig fcfg;
     fcfg.dptc = noisyDptc();
     fcfg.num_cores = 4;
-    fcfg.faults.enabled = true;
     fcfg.faults.replicas.resize(3);
     fcfg.faults.replicas[1].dead = true;
     fcfg.faults.replicas[2].stuck_channel = 2; // near-zero stuck value
-    nn::ExecutionEngine faulty(fcfg);
-    const Served got = serveBurst(faulty);
-    const nn::EngineStatus status = faulty.status();
 
     nn::EngineConfig ccfg = fcfg;
     ccfg.faults = core::FaultConfig{};
     nn::ExecutionEngine clean(ccfg);
     const Served want = serveBurst(clean);
-
-    EXPECT_GE(status.quarantines, 1u);
-    EXPECT_GT(status.faults_detected, 0u);
-    EXPECT_FALSE(status.degraded);
-    EXPECT_EQ(got.metrics.request_failures, 0u);
-    ASSERT_EQ(got.results.size(), kRequests);
     ASSERT_EQ(want.results.size(), kRequests);
-    for (size_t i = 0; i < kRequests; ++i) {
-        EXPECT_FALSE(got.results[i].expired) << "req " << i;
-        EXPECT_EQ(got.results[i].generated, want.results[i].generated)
-            << "req " << i;
-        ASSERT_EQ(got.results[i].step_logits.size(),
-                  want.results[i].step_logits.size());
-        for (size_t s = 0; s < want.results[i].step_logits.size(); ++s)
-            EXPECT_EQ(got.results[i].step_logits[s].maxAbsDiff(
-                          want.results[i].step_logits[s]),
-                      0.0)
-                << "req " << i << " step " << s;
+
+    std::vector<nn::EngineStatus> statuses;
+    for (size_t threads : {1u, 4u}) {
+        ThreadPool::setGlobalThreads(threads);
+        nn::ExecutionEngine faulty(fcfg);
+        const Served got = serveBurst(faulty);
+        const nn::EngineStatus status = faulty.status();
+        statuses.push_back(status);
+
+        EXPECT_GE(status.quarantines, 1u) << "threads " << threads;
+        EXPECT_GT(status.faults_detected, 0u) << "threads " << threads;
+        EXPECT_FALSE(status.degraded) << "threads " << threads;
+        EXPECT_EQ(got.metrics.request_failures, 0u);
+        ASSERT_EQ(got.results.size(), kRequests);
+        for (size_t i = 0; i < kRequests; ++i) {
+            EXPECT_FALSE(got.results[i].expired) << "req " << i;
+            EXPECT_EQ(got.results[i].generated, want.results[i].generated)
+                << "threads " << threads << " req " << i;
+            ASSERT_EQ(got.results[i].step_logits.size(),
+                      want.results[i].step_logits.size());
+            for (size_t s = 0; s < want.results[i].step_logits.size(); ++s)
+                EXPECT_EQ(got.results[i].step_logits[s].maxAbsDiff(
+                              want.results[i].step_logits[s]),
+                          0.0)
+                    << "threads " << threads << " req " << i << " step "
+                    << s;
+        }
     }
+    ThreadPool::setGlobalThreads(0);
+
+    EXPECT_EQ(statuses[1].faults_detected, statuses[0].faults_detected);
+    EXPECT_EQ(statuses[1].fault_retries, statuses[0].fault_retries);
+    EXPECT_EQ(statuses[1].quarantines, statuses[0].quarantines);
 }
 
 TEST(Serve, DecodeStepFaultReplaysSessionsBitIdentically)
@@ -1140,7 +1150,6 @@ TEST(Serve, DecodeStepFaultReplaysSessionsBitIdentically)
     nn::EngineConfig fcfg;
     fcfg.dptc = noisyDptc();
     fcfg.num_cores = 2;
-    fcfg.faults.enabled = true;
     fcfg.faults.seed = 14;
     fcfg.faults.replicas.resize(2);
     fcfg.faults.replicas[1].dead = true;
@@ -1201,7 +1210,6 @@ TEST(Serve, PersistentEngineFailureFailsRequestsNotTheServer)
     ecfg.dptc = noisyDptc();
     ecfg.mode = core::EvalMode::Noisy;
     ecfg.num_cores = 2;
-    ecfg.faults.enabled = true;
     ecfg.faults.replicas.resize(2);
     for (auto &r : ecfg.faults.replicas)
         r.dead = true;
