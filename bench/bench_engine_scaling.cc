@@ -51,11 +51,13 @@
  * pass's dots, 3n + 1 stddevs each) on the draw kernels cpuid picked
  * and on the baseline ones. Both must hash equal to the same pattern
  * drawn by per-call gaussian(), or --csv/--json exit nonzero. The row
- * also times the two glibc-exact passes against glibc's scalar calls,
- * per element: log over polar r^2 in 256-element calls (a polarFinish
- * chunk) and sin over engine phases in 144-element calls (a row of
- * 12 dots x 12 wavelengths), with the fraction of elements each pass
- * hands to glibc; both must equal glibc bitwise.
+ * also times two glibc-exact passes against their scalar code, per
+ * element: the fused transform polarUnit over accepted polar pairs in
+ * 256-element calls (a bulk fill's chunk) against the scalar
+ * y * sqrt(-2 log r^2 / r^2), and glibcSin over engine phases in
+ * 144-element calls (a row of 12 dots x 12 wavelengths) against
+ * glibc's sin, with the fraction of elements each pass recomputes in
+ * scalar code; both must equal their scalar code bitwise.
  *
  * Usage: bench_engine_scaling [--csv] [--json [path]]
  *
@@ -177,19 +179,19 @@ struct RngBenchResult
     double dot_ns;          ///< engine dot pattern, that variant
     double dot_baseline_ns; ///< engine dot pattern, baseline kernels
     bool dot_identical;     ///< both match the per-call reference
-    double log_glibc_ns;    ///< glibc's log per element, polar r^2
-    double log_kernel_ns;   ///< that variant's glibcLog per element
-    double log_deferred;    ///< its elements that called glibc [frac]
+    double unit_scalar_ns;  ///< scalar transform per accepted pair
+    double unit_kernel_ns;  ///< that variant's polarUnit per pair
+    double unit_deferred;   ///< its pairs recomputed in scalar [frac]
     double sin_glibc_ns;    ///< glibc's sin per element, engine phases
     double sin_kernel_ns;   ///< that variant's glibcSin per element
     double sin_deferred;    ///< its elements that called glibc [frac]
-    bool exact_identical;   ///< both passes equal glibc bitwise
+    bool exact_identical;   ///< both passes equal their scalar code
 };
 
-/** One element-wise pass timed against glibc's scalar calls. */
+/** One element-wise pass timed against its scalar code. */
 struct ExactPassTiming
 {
-    double glibc_ns;
+    double scalar_ns;
     double kernel_ns;
     double deferred;
     bool identical;
@@ -259,42 +261,40 @@ runDotPattern(const detail::RngKernels &kernels,
 }
 
 /**
- * ns per element of `pass` (glibcLog or glibcSin) against `glibc`
- * over `in` in `chunk`-element calls, best of kReps runs of 8 sweeps,
- * plus the fraction of elements the pass handed to glibc and whether
- * every output equals glibc's bitwise.
+ * ns per element of a kernel pass against its scalar code over `elems`
+ * elements, best of kReps runs of 8 sweeps: `scalar(ref)` writes every
+ * element's reference value, and `pass(b, m, out)` runs the kernel on
+ * elements [b, b + m) (calls of `chunk` elements) and returns how many
+ * it recomputed in scalar code. Also gives that fraction and whether
+ * every output equals the reference bitwise.
  */
-template <typename Glibc>
+template <typename Scalar, typename Pass>
 ExactPassTiming
-timeExactPass(size_t (*pass)(const double *, size_t, double *),
-              Glibc glibc, const std::vector<double> &in, size_t chunk)
+timeExactPass(size_t elems, size_t chunk, Scalar scalar, Pass pass)
 {
     constexpr int kSweeps = 8;
-    std::vector<double> ref(in.size()), out(in.size());
+    std::vector<double> ref(elems), out(elems);
     ExactPassTiming t{1e30, 1e30, 0.0, true};
     size_t deferred = 0;
     for (int r = 0; r < kReps; ++r) {
-        t.glibc_ns = std::min(t.glibc_ns, secondsOf([&] {
+        t.scalar_ns = std::min(t.scalar_ns, secondsOf([&] {
             for (int s = 0; s < kSweeps; ++s)
-                for (size_t i = 0; i < in.size(); ++i)
-                    ref[i] = glibc(in[i]);
+                scalar(ref.data());
         }));
         deferred = 0;
         t.kernel_ns = std::min(t.kernel_ns, secondsOf([&] {
             for (int s = 0; s < kSweeps; ++s)
-                for (size_t b = 0; b < in.size(); b += chunk)
-                    deferred += pass(in.data() + b,
-                                     std::min(chunk, in.size() - b),
+                for (size_t b = 0; b < elems; b += chunk)
+                    deferred += pass(b, std::min(chunk, elems - b),
                                      out.data() + b);
         }));
     }
-    const double elems = static_cast<double>(kSweeps * in.size());
-    t.glibc_ns *= 1e9 / elems;
-    t.kernel_ns *= 1e9 / elems;
-    t.deferred = static_cast<double>(deferred) / elems;
+    const double swept = static_cast<double>(kSweeps * elems);
+    t.scalar_ns *= 1e9 / swept;
+    t.kernel_ns *= 1e9 / swept;
+    t.deferred = static_cast<double>(deferred) / swept;
     t.identical =
-        std::memcmp(ref.data(), out.data(), in.size() * sizeof(double)) ==
-        0;
+        std::memcmp(ref.data(), out.data(), elems * sizeof(double)) == 0;
     return t;
 }
 
@@ -372,7 +372,7 @@ runRngMicrobench()
     res.dot_baseline_ns = best(baseline, res.dot_identical);
 
     // The glibc-exact passes on their engine inputs: accepted polar
-    // r^2 from the selected candidate pass, and drifted phases of a
+    // pairs from the selected candidate pass, and drifted phases of a
     // paper-default 12-wavelength DDot (dispersion + N(0, 2 deg)).
     constexpr size_t kExactElems = 1 << 15;
     std::vector<double> r2s(kExactElems), ys(kExactElems);
@@ -398,18 +398,31 @@ runRngMicrobench()
         for (size_t i = 0; i < kExactElems; ++i)
             phases[i] += -M_PI / 2.0 + ddot.channels()[i % 12].phase_error;
     }
-    const ExactPassTiming log_t = timeExactPass(
-        selected.glibcLog, [](double v) { return std::log(v); }, r2s, 256);
+    const ExactPassTiming unit_t = timeExactPass(
+        kExactElems, 256,
+        [&](double *ref) {
+            for (size_t i = 0; i < kExactElems; ++i)
+                ref[i] = ys[i] * std::sqrt(-2.0 * std::log(r2s[i]) / r2s[i]);
+        },
+        [&](size_t b, size_t m, double *out) {
+            return selected.polarUnit(ys.data() + b, r2s.data() + b, m, out);
+        });
     const ExactPassTiming sin_t = timeExactPass(
-        selected.glibcSin, [](double v) { return std::sin(v); }, phases,
-        144);
-    res.log_glibc_ns = log_t.glibc_ns;
-    res.log_kernel_ns = log_t.kernel_ns;
-    res.log_deferred = log_t.deferred;
-    res.sin_glibc_ns = sin_t.glibc_ns;
+        kExactElems, 144,
+        [&](double *ref) {
+            for (size_t i = 0; i < kExactElems; ++i)
+                ref[i] = std::sin(phases[i]);
+        },
+        [&](size_t b, size_t m, double *out) {
+            return selected.glibcSin(phases.data() + b, m, out);
+        });
+    res.unit_scalar_ns = unit_t.scalar_ns;
+    res.unit_kernel_ns = unit_t.kernel_ns;
+    res.unit_deferred = unit_t.deferred;
+    res.sin_glibc_ns = sin_t.scalar_ns;
     res.sin_kernel_ns = sin_t.kernel_ns;
     res.sin_deferred = sin_t.deferred;
-    res.exact_identical = log_t.identical && sin_t.identical;
+    res.exact_identical = unit_t.identical && sin_t.identical;
     return res;
 }
 
@@ -844,9 +857,9 @@ main(int argc, char **argv)
             << ", \"dot_pattern_baseline_ns_per_draw\": "
             << rngb.dot_baseline_ns << ", \"dot_pattern_identical\": "
             << (rngb.dot_identical ? "true" : "false")
-            << ", \"log_glibc_ns_per_elem\": " << rngb.log_glibc_ns
-            << ", \"log_kernel_ns_per_elem\": " << rngb.log_kernel_ns
-            << ", \"log_deferred_frac\": " << rngb.log_deferred
+            << ", \"unit_scalar_ns_per_draw\": " << rngb.unit_scalar_ns
+            << ", \"unit_kernel_ns_per_draw\": " << rngb.unit_kernel_ns
+            << ", \"unit_deferred_frac\": " << rngb.unit_deferred
             << ", \"sin_glibc_ns_per_elem\": " << rngb.sin_glibc_ns
             << ", \"sin_kernel_ns_per_elem\": " << rngb.sin_kernel_ns
             << ", \"sin_deferred_frac\": " << rngb.sin_deferred
@@ -991,16 +1004,16 @@ main(int argc, char **argv)
                      "rng_dot_pattern_ns_per_draw,"
                      "rng_dot_pattern_baseline_ns_per_draw,"
                      "rng_dot_pattern_identical,"
-                     "rng_log_glibc_ns_per_elem,rng_log_kernel_ns_per_elem,"
-                     "rng_log_deferred_frac,"
+                     "rng_unit_scalar_ns_per_draw,"
+                     "rng_unit_kernel_ns_per_draw,rng_unit_deferred_frac,"
                      "rng_sin_glibc_ns_per_elem,rng_sin_kernel_ns_per_elem,"
                      "rng_sin_deferred_frac,rng_exact_identical\n"
                   << rngb.scalar_ns << "," << rngb.blocked_ns << ","
                   << rngb.fast_ns << "," << rngb.kernels << ","
                   << rngb.dot_ns << "," << rngb.dot_baseline_ns << ","
                   << (rngb.dot_identical ? 1 : 0) << ","
-                  << rngb.log_glibc_ns << "," << rngb.log_kernel_ns << ","
-                  << rngb.log_deferred << "," << rngb.sin_glibc_ns << ","
+                  << rngb.unit_scalar_ns << "," << rngb.unit_kernel_ns << ","
+                  << rngb.unit_deferred << "," << rngb.sin_glibc_ns << ","
                   << rngb.sin_kernel_ns << "," << rngb.sin_deferred << ","
                   << (rngb.exact_identical ? 1 : 0) << "\n";
         std::cout << "\nfault_off_vs_verify_identical,"
@@ -1064,8 +1077,8 @@ main(int argc, char **argv)
                          "pattern differ from per-call gaussian()\n";
         if (!rngb.exact_identical)
             std::cerr << "DETERMINISM VIOLATION: the " << rngb.kernels
-                      << " glibcLog/glibcSin passes differ from glibc's "
-                         "scalar log/sin\n";
+                      << " polarUnit/glibcSin passes differ from the "
+                         "scalar transform/glibc's sin\n";
         if (!paper_draws_ok)
             std::cerr << "DRAW COUNT VIOLATION: paper-default decode "
                       << paper.draws_per_step << " draws/step, pinned "
@@ -1181,11 +1194,12 @@ main(int argc, char **argv)
                  "stddevs (n = 12, 12, 8); both variants bit-identical "
                  "to\nper-call gaussian(): "
               << (rngb.dot_identical ? "yes" : "NO") << ".\n";
-    Table etable({"pass", "glibc ns/elem", "kernel ns/elem",
-                  "to glibc"});
-    etable.addRow({"log, polar r^2", units::fmtFixed(rngb.log_glibc_ns, 2),
-                   units::fmtFixed(rngb.log_kernel_ns, 2),
-                   units::fmtFixed(rngb.log_deferred, 3)});
+    Table etable({"pass", "scalar ns/elem", "kernel ns/elem",
+                  "recomputed"});
+    etable.addRow({"polarUnit, polar pairs",
+                   units::fmtFixed(rngb.unit_scalar_ns, 2),
+                   units::fmtFixed(rngb.unit_kernel_ns, 2),
+                   units::fmtFixed(rngb.unit_deferred, 3)});
     etable.addRow({"sin, engine phases",
                    units::fmtFixed(rngb.sin_glibc_ns, 2),
                    units::fmtFixed(rngb.sin_kernel_ns, 2),
@@ -1193,7 +1207,7 @@ main(int argc, char **argv)
     std::cout << "\n";
     etable.print(std::cout);
     std::cout << "\n" << rngb.kernels
-              << " glibc-exact passes equal glibc bitwise: "
+              << " glibc-exact passes equal their scalar code bitwise: "
               << (rngb.exact_identical ? "yes" : "NO") << ".\n";
     std::cout << "\nDecode perf gates (enforced in --csv/--json): "
                  "bit-exact cache-on <= "

@@ -370,7 +370,7 @@ Dptc::gemmTiles(const EncodedOperand &a, const EncodedOperand &b,
                       cfg_.noise.sampler == NoiseSampler::Fast &&
                       !cfg_.channel_calibration;
 
-    Rng unused(0); // non-noisy modes never draw from it
+    FastRng unused(0); // non-noisy modes never draw from it; no seed chain
     for (size_t t = tile_begin; t < tile_end; ++t) {
         const size_t r0 = (t / tiles_c) * cfg_.nh;
         const size_t tc = t % tiles_c;

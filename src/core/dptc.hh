@@ -242,8 +242,9 @@ class Dptc
      * configuration draws in bulk: under encoding noise, ONE
      * fillGaussianScaled per row of the pass over the stddevs of the
      * row's dots in stream order (per dot, 3n encoding stds, then the
-     * systematic std; see NoiseScratch), then ONE glibc-exact sin
-     * pass over the row's cols x depth drifted phases
+     * systematic std; see NoiseScratch), which draws one unit value
+     * per positive std and expands them over the row, then ONE
+     * glibc-exact sin pass over the row's cols x depth drifted phases
      * (DDot::encodingSines), and the dot arithmetic then runs over the
      * draws and sines; without it, one constant-std fill of the pass's
      * systematic eps, and the dots run in column pairs with the

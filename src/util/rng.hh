@@ -11,20 +11,23 @@
  * rejection-based polar normal_distribution with fresh-distribution
  * semantics per draw — so that every existing noise stream is
  * preserved BIT-EXACTLY. The class keeps the control flow (block
- * position, chunking, zero-std compaction); the arithmetic runs in
- * kernels in util/rng_kernels.cc — the mt19937-64 refill, the polar
- * candidate pass, the transform, and both of the latter fused for
- * gaussian()'s single draw (one call per draw) — compiled as baseline,
- * AVX2 and AVX-512 variants and picked once per process from cpuid (no
- * setting selects them). That file is compiled with fp-contract=off,
- * since a fused x*x + y*y changes the sequence. The transform takes
- * one log per accepted draw (the fresh-distribution semantics discard
- * the pair's second value), and the SIMD variants compute it in vector
- * form with glibc's rounding, calling glibc's scalar log only for the
- * lanes whose rounding they cannot vouch for (RngKernels::glibcLog).
- * tests/test_util.cc pins the sequences of every variant the CPU
- * supports directly against the std:: reference types, and each
- * variant's log and sin against glibc's.
+ * position, chunking, counting the positive stddevs); the arithmetic
+ * runs in kernels in util/rng_kernels.cc — the mt19937-64 refill, the
+ * polar candidate pass, the transform to unit draws, their expansion
+ * over a chunk's stddevs, and the candidate pass and transform fused
+ * for gaussian()'s single draw (one call per draw) — compiled as
+ * baseline, AVX2 and AVX-512 variants and picked once per process from
+ * cpuid (no setting selects them). That file is compiled with
+ * fp-contract=off, since a fused x*x + y*y (or unit * stddev + mean)
+ * changes the sequence. The transform takes one log per accepted draw
+ * (the fresh-distribution semantics discard the pair's second value),
+ * and the SIMD variants compute it in vector form with glibc's
+ * rounding, in the same pass as the divide, sqrt and multiply, and
+ * recompute with glibc's scalar log only the lanes whose rounding they
+ * cannot vouch for (RngKernels::polarUnit). tests/test_util.cc pins the
+ * sequences of every variant the CPU supports directly against the
+ * std:: reference types, each variant's transform against the scalar
+ * formula with glibc's log, and its sin against glibc's.
  *
  * The contract every consumer relies on:
  *  - uniform()/uniformInt()/bernoulli() run the std:: distributions over
@@ -104,38 +107,47 @@ struct RngKernels
                          double *ys, double *r2s, size_t *accepted);
 
     /**
-     * out[j] = ys[j] * sqrt(-2 ln r2s[j] / r2s[j]) * stds[j] + mean
-     * for j < n; `out` must not overlap the inputs.
+     * out[j] = ys[j] * sqrt(-2 ln r2s[j] / r2s[j]) for j < n: the
+     * accepted pairs' draws at mean 0 and stddev 1, in libstdc++'s
+     * order, with glibc's log. The SIMD variants run each vector's
+     * log, divide, sqrt and multiply in one pass and recompute in
+     * scalar code a short tail and the lanes whose log lies within
+     * 1/40 ulp of a rounding midpoint (about 1 in 20) or outside
+     * (0, 1]. Returns the elements recomputed (n for the baseline
+     * variant, which is the scalar formula). `out` must not overlap
+     * the inputs.
      */
-    void (*polarFinish)(const double *ys, const double *r2s,
-                        const double *stds, size_t n, double mean,
+    size_t (*polarUnit)(const double *ys, const double *r2s, size_t n,
                         double *out);
 
     /**
+     * out[i] = unit[k] * stds[i] + mean, where k counts the positive
+     * stds before i, and out[i] = mean where stds[i] is not positive:
+     * unit draws spread over a chunk's positive stddevs in order.
+     * Uses unit below the count c of positive stds, and may also read
+     * unit[c] when c < n, so that slot must be initialized. `out` must
+     * not overlap the inputs.
+     */
+    void (*expandScaled)(const double *unit, const double *stds, size_t n,
+                         double mean, double *out);
+
+    /**
      * One draw in one call: polarPairs with want == 1 fused with
-     * polarFinish. Writes *out and sets *accepted to 1 when a pair
-     * among the `pairs` is accepted (else 0, *out untouched); returns
-     * the pairs consumed.
+     * polarUnit and the scaling. Writes *out and sets *accepted to 1
+     * when a pair among the `pairs` is accepted (else 0, *out
+     * untouched); returns the pairs consumed.
      */
     size_t (*polarOne)(const uint64_t *u, size_t pairs, double mean,
                        double stddev, double *out, size_t *accepted);
 
     /**
-     * out[j] = std::log(x[j]) for j < n, equal to glibc's scalar log
-     * bit for bit, in either of glibc's libm variants. The SIMD
-     * variants compute (0, 1] in vector form and call glibc for the
-     * lanes within 1/16 ulp of a rounding midpoint (about 1 in 8) and
-     * for inputs outside (0, 1]. Returns the elements that called
-     * glibc (n for the baseline variant). `out` must not overlap `x`.
-     */
-    size_t (*glibcLog)(const double *x, size_t n, double *out);
-
-    /**
      * out[j] = std::sin(x[j]) for j < n, equal to glibc's scalar sin
-     * bit for bit, like glibcLog: vector form on the phase band
-     * |x + pi/2| <= 1/4 that DDot's drifted phases occupy, glibc
-     * elsewhere and near rounding midpoints. Returns the elements that
-     * called glibc. `out` must not overlap `x`.
+     * bit for bit, in either of glibc's libm variants. The SIMD
+     * variants compute the phase band |x + pi/2| <= 1/4 that DDot's
+     * drifted phases occupy in vector form and call glibc for the
+     * lanes within 1/16 ulp of a rounding midpoint (about 1 in 8) and
+     * for inputs outside the band. Returns the elements that called
+     * glibc (n for the baseline variant). `out` must not overlap `x`.
      */
     size_t (*glibcSin)(const double *x, size_t n, double *out);
 };
@@ -306,12 +318,11 @@ class Rng
             std::fill(out.begin(), out.end(), mean);
             return;
         }
-        double ys[kChunk], r2s[kChunk], stds[kChunk];
+        double stds[kChunk];
         std::fill_n(stds, std::min(out.size(), kChunk), stddev);
-        for (size_t done = 0; done < out.size(); done += kChunk) {
-            const size_t n = std::min(out.size() - done, kChunk);
-            drawPolar(ys, r2s, n);
-            k_->polarFinish(ys, r2s, stds, n, mean, out.data() + done);
+        for (size_t base = 0; base < out.size(); base += kChunk) {
+            const size_t n = std::min(out.size() - base, kChunk);
+            fillChunk(out.data() + base, stds, n, n, mean);
         }
     }
 
@@ -331,25 +342,13 @@ class Rng
                        std::span<const double> stddevs, double mean = 0.0)
     {
         assert(out.size() == stddevs.size());
-        double ys[kChunk], r2s[kChunk], stds[kChunk], vals[kChunk];
-        size_t idxs[kChunk];
         for (size_t base = 0; base < out.size(); base += kChunk) {
             const size_t n = std::min(out.size() - base, kChunk);
-            // Compact the positive stddevs without branching: every
-            // element is stored at the write index, which advances
-            // only past positive ones; holes keep the mean.
-            size_t cnt = 0;
-            for (size_t i = 0; i < n; ++i) {
-                const double s = stddevs[base + i];
-                stds[cnt] = s;
-                idxs[cnt] = base + i;
-                cnt += s > 0.0;
-                out[base + i] = mean;
-            }
-            drawPolar(ys, r2s, cnt);
-            k_->polarFinish(ys, r2s, stds, cnt, mean, vals);
-            for (size_t j = 0; j < cnt; ++j)
-                out[idxs[j]] = vals[j];
+            const double *stds = stddevs.data() + base;
+            size_t positive = 0;
+            for (size_t i = 0; i < n; ++i)
+                positive += stds[i] > 0.0;
+            fillChunk(out.data() + base, stds, n, positive, mean);
         }
     }
 
@@ -382,6 +381,22 @@ class Rng
                             (state_[i - 1] ^ (state_[i - 1] >> 62)) +
                         i;
         pos_ = kN;
+    }
+
+    /**
+     * One chunk of a bulk fill: draw `positive` unit values (the
+     * count of positive stds[0, n)) and expand them over stds into
+     * out[0, n).
+     */
+    void
+    fillChunk(double *out, const double *stds, size_t n, size_t positive,
+              double mean)
+    {
+        double ys[kChunk], r2s[kChunk], unit[kChunk + 1];
+        drawPolar(ys, r2s, positive);
+        k_->polarUnit(ys, r2s, positive, unit);
+        unit[positive] = 0.0; // expandScaled may read it, never uses it
+        k_->expandScaled(unit, stds, n, mean, out);
     }
 
     /** Regenerate and temper the whole state block at once. */

@@ -16,18 +16,28 @@
  *    the want-th accept, so it consumes words exactly as that many
  *    scalar rejection loops do. The caller's ys/r2s hold `want`
  *    elements; nothing is written at or past index `want`;
- *  - polarFinish: y * sqrt(-2 ln r^2 / r^2) * stddev + mean, with the
- *    log pass from glibcLog and the sqrt/divide half vectorized;
+ *  - polarUnit: the transform y * sqrt(-2 ln r^2 / r^2) in one pass:
+ *    each vector's glibc-exact log (LogLanes), divide, sqrt and
+ *    multiply stay in registers, and the lanes whose log it cannot
+ *    vouch for, plus a short tail, are recomputed whole with glibc's
+ *    log after the loop;
+ *  - expandScaled: the unit draws spread over a chunk's positive
+ *    stddevs as unit * stddev + mean, the mean elsewhere (a compare
+ *    mask and a register vexpandpd on AVX-512, branchless scalar code
+ *    otherwise);
  *  - polarOne: one draw in one call (Rng::gaussian), built from the
- *    polarPairs and polarFinish bodies with want == 1 (its one log is
+ *    polarPairs body with want == 1 and finishOne (its one log is
  *    glibc's scalar call);
- *  - glibcLog, glibcSin: glibc's log on (0, 1] and sin on the phase
- *    band |phi + pi/2| <= 1/4, bit for bit (see exactPassBody): each
- *    lane computes the function as an unevaluated sum y + e, keeps y
- *    when y + e lies more than kGuard ulp from a rounding midpoint,
- *    and hands every other lane (about 1 in 8, plus any input outside
- *    the domain) to glibc after the vector loop. The baseline variant
- *    calls glibc for every element.
+ *  - glibcSin: glibc's sin on the phase band |phi + pi/2| <= 1/4, bit
+ *    for bit (see sinPassBody), with glibc called after the vector
+ *    loop for the lanes it cannot vouch for.
+ *
+ * The vector log (in polarUnit) and sin compute their function per
+ * lane as an unevaluated sum y + e and keep y when y + e lies more than
+ * the function's kGuard ulp from a rounding midpoint; every other lane
+ * (about 1 in 20 for log, 1 in 8 for sin, plus any input outside the
+ * domain) runs glibc's scalar call. The baseline polarUnit and
+ * glibcSin are the scalar code.
  *
  * Each kernel is one always-inlined body, instantiated in a baseline
  * function and in [[gnu::target("avx2,fma")]] and
@@ -38,14 +48,15 @@
  * builds of src/ with other flags (servebench's) get the same dispatch.
  *
  * Every variant computes its draws from the same source (candidates,
- * finishOne and the finish passes), so every variant reproduces the
- * libstdc++ sequence exactly: each operation is an IEEE-exact one
+ * unitOne and polarUnitBody, the expand), so every variant reproduces
+ * the libstdc++ sequence exactly: each operation is an IEEE-exact one
  * (conversions, power-of-two scales, min, sqrt, divide) or a
  * correctly rounded multiply/add that must stay unfused, which the
  * fp-contract pragma below guarantees; the one libm call, log, returns
  * glibc's value in every variant. tests/test_util.cc runs every
- * variant the CPU supports against std::normal_distribution, and its
- * glibcLog/glibcSin against glibc's scalar log and sin.
+ * variant the CPU supports against std::normal_distribution, its
+ * polarUnit against the scalar formula with glibc's log, and its
+ * glibcSin against glibc's scalar sin.
  */
 
 // Keep every a*b + c as a rounded multiply followed by a rounded add.
@@ -55,6 +66,7 @@
 #pragma GCC optimize("fp-contract=off")
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -247,13 +259,20 @@ polarPairsBody(const uint64_t *u, size_t pairs, size_t want, double *ys,
 }
 
 /**
- * One accepted pair's draw, in libstdc++'s association order:
- * (y * sqrt(-2 * log(r2) / r2)) * stddev + mean.
+ * One accepted pair's unit draw, y * sqrt(-2 * log(r2) / r2), with
+ * glibc's log.
  */
+[[gnu::always_inline]] inline double
+unitOne(double y, double r2)
+{
+    return y * std::sqrt(-2.0 * std::log(r2) / r2);
+}
+
+/** One draw, in libstdc++'s order: (y * mult) * stddev + mean. */
 [[gnu::always_inline]] inline double
 finishOne(double y, double r2, double stddev, double mean)
 {
-    return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+    return unitOne(y, r2) * stddev + mean;
 }
 
 // ---- glibc-exact vector log and sin -----------------------------------
@@ -264,14 +283,13 @@ finishOne(double y, double r2, double stddev, double mean)
 // 2^-10.5 ulp for sin, the latter at the band edge). glibc's
 // own sources bound its results' errors at 0.519 ulp (log) and 0.548
 // ulp (sin) in both its FMA and its baseline variants. When y + e lies
-// more than kGuard = 1/16 ulp from a rounding midpoint, the true value
-// lies within 7/16 + 2^-9 ulp of y and more than 0.56 ulp from either
-// neighbor of y, so glibc must return y too. Every other lane, a
-// power-of-two y (whose lower neighbor is half an ulp closer), and every
-// input outside the lane's domain, calls glibc after the vector loop.
-
-/** Distance from a rounding midpoint, in ulp, below which glibc runs. */
-constexpr double kGuard = 1.0 / 16;
+// more than g ulp from a rounding midpoint, the true value lies within
+// 1/2 - g + 2^-9 ulp of y and more than 1/2 + g - 2^-9 ulp from either
+// neighbor of y, so glibc must return y too once its bound is below
+// that: each function's kGuard g is 1/40 for log (0.523 > 0.519) and
+// 1/16 for sin (0.560 > 0.548). Every other lane, a power-of-two y
+// (whose lower neighbor is half an ulp closer), and every input outside
+// the lane's domain, calls glibc after the vector loop.
 
 /** Elements per block of an exact pass (its deferred-index array). */
 constexpr size_t kExactBlock = 256;
@@ -323,14 +341,30 @@ gatherLanes(const double *table, const Lanes<8>::U &i, Lanes<8>::D &r)
                                  table, 8);
 }
 
+/** r = sqrt(a), correctly rounded like the scalar sqrt. */
+[[gnu::target("avx2,fma")]] inline void
+sqrtLanes(const Lanes<4>::D &a, Lanes<4>::D &r)
+{
+    r = _mm256_sqrt_pd(a);
+}
+
+[[gnu::target("avx512f")]] inline void
+sqrtLanes(const Lanes<8>::D &a, Lanes<8>::D &r)
+{
+    // The masked form with a defined source: GCC 12's unmasked
+    // _mm512_sqrt_pd passes _mm512_undefined_pd, which trips
+    // -Wmaybe-uninitialized.
+    r = _mm512_mask_sqrt_pd(a, 0xFF, a);
+}
+
 /**
  * Bit l set for every lane l that must call glibc: all but the lanes
  * with d in [lo, hi] whose y is not a power of two (nor 0, subnormal
- * or NaN) and whose |e| is below (1/2 - kGuard) ulp(y).
+ * or NaN) and whose |e| is below (1/2 - guard) ulp(y).
  */
 [[gnu::target("avx2,fma")]] inline unsigned
 deferredLanes(const Lanes<4>::D &y, const Lanes<4>::D &e,
-              const Lanes<4>::D &d, double lo, double hi)
+              const Lanes<4>::D &d, double lo, double hi, double guard)
 {
     const __m256i yb = _mm256_castpd_si256(y);
     const __m256d ulp = _mm256_castsi256_pd(_mm256_and_si256(
@@ -346,14 +380,14 @@ deferredLanes(const Lanes<4>::D &y, const Lanes<4>::D &e,
             _mm256_castsi256_pd(mant_zero),
             _mm256_cmp_pd(abs_e,
                           _mm256_mul_pd(ulp, _mm256_set1_pd(
-                                                 (0.5 - kGuard) * 0x1p-52)),
+                                                 (0.5 - guard) * 0x1p-52)),
                           _CMP_LT_OQ)));
     return ~static_cast<unsigned>(_mm256_movemask_pd(keep)) & 0xFu;
 }
 
 [[gnu::target("avx512f,avx512dq,avx512vl,popcnt")]] inline unsigned
 deferredLanes(const Lanes<8>::D &y, const Lanes<8>::D &e,
-              const Lanes<8>::D &d, double lo, double hi)
+              const Lanes<8>::D &d, double lo, double hi, double guard)
 {
     const __m512i yb = _mm512_castpd_si512(y);
     const __m512d ulp = _mm512_castsi512_pd(_mm512_and_si512(
@@ -366,7 +400,7 @@ deferredLanes(const Lanes<8>::D &y, const Lanes<8>::D &e,
                                _mm512_set1_epi64(0x000fffffffffffffLL)) &
         _mm512_cmp_pd_mask(
             abs_e,
-            _mm512_mul_pd(ulp, _mm512_set1_pd((0.5 - kGuard) * 0x1p-52)),
+            _mm512_mul_pd(ulp, _mm512_set1_pd((0.5 - guard) * 0x1p-52)),
             _CMP_LT_OQ);
     return ~static_cast<unsigned>(keep) & 0xFFu;
 }
@@ -415,9 +449,8 @@ struct LogLanes
 {
     static constexpr double kLo = 0x1p-1022;
     static constexpr double kHi = 1.0;
-    static constexpr double kPad = 0.5; ///< fills a short last vector
-
-    static double glibc(double v) { return std::log(v); }
+    /** Distance from a rounding midpoint, in ulp, below which glibc runs. */
+    static constexpr double kGuard = 1.0 / 40;
 
     template <size_t L>
     [[gnu::always_inline]] static void
@@ -484,9 +517,9 @@ struct SinLanes
 {
     static constexpr double kLo = -0.25;
     static constexpr double kHi = 0.25;
+    /** Fills a short last vector. */
     static constexpr double kPad = -libm::kPio2Hi;
-
-    static double glibc(double v) { return std::sin(v); }
+    static constexpr double kGuard = 1.0 / 16; ///< see LogLanes::kGuard
 
     template <size_t L>
     [[gnu::always_inline]] static void
@@ -520,21 +553,21 @@ struct SinLanes
 
 #ifdef __x86_64__
 /**
- * One glibc-exact pass of F (LogLanes, SinLanes): out[j] =
- * F::glibc(x[j]) for j < n, bit for bit. Per block of kExactBlock
- * elements, the vector loop stores every lane's y and collects the
- * lanes it cannot vouch for (deferredLanes), with no data-dependent
- * branch; a short last vector runs from a copy padded with F::kPad.
- * The collected lanes then call glibc. Returns how many elements
- * called glibc. `out` must not overlap `x`.
+ * The glibc-exact sin pass: out[j] = std::sin(x[j]) for j < n, bit for
+ * bit. Per block of kExactBlock elements, the vector loop stores every
+ * lane's SinLanes value and collects the lanes it cannot vouch for
+ * (deferredLanes), with no data-dependent branch; a short last vector
+ * runs from a copy padded with SinLanes::kPad. The collected lanes then
+ * call glibc. Returns how many elements called glibc. `out` must not
+ * overlap `x`.
  */
-template <size_t L, typename F>
+template <size_t L>
 [[gnu::always_inline]] inline size_t
-exactPassBody(const double *__restrict x, size_t n, double *__restrict out)
+sinPassBody(const double *__restrict x, size_t n, double *__restrict out)
 {
     using D = typename Lanes<L>::D;
     const std::integral_constant<size_t, L> lanes;
-    uint32_t idx[kExactBlock + L] = {};
+    uint32_t idx[kExactBlock + L]; // only [0, cnt) is read
     size_t deferred = 0;
     for (size_t base = 0; base < n; base += kExactBlock) {
         const size_t m = std::min(kExactBlock, n - base);
@@ -546,12 +579,13 @@ exactPassBody(const double *__restrict x, size_t n, double *__restrict out)
             const size_t real = std::min(L, m - j);
             const double *src = xb + j;
             if (real < L) {
-                std::fill(std::copy(xb + j, xb + m, t), t + L, F::kPad);
+                std::fill(std::copy(xb + j, xb + m, t), t + L,
+                          SinLanes::kPad);
                 src = t;
             }
             D v{}, y{}, e{}, d{};
             std::memcpy(&v, src, sizeof(D));
-            F::template eval<L>(v, y, e, d);
+            SinLanes::eval<L>(v, y, e, d);
             if (real == L) {
                 std::memcpy(ob + j, &y, sizeof(D));
             } else {
@@ -559,56 +593,92 @@ exactPassBody(const double *__restrict x, size_t n, double *__restrict out)
                 std::copy(t, t + real, ob + j);
             }
             collectLanes(lanes,
-                         deferredLanes(y, e, d, F::kLo, F::kHi) &
+                         deferredLanes(y, e, d, SinLanes::kLo, SinLanes::kHi,
+                                       SinLanes::kGuard) &
                              ((1u << real) - 1),
                          static_cast<uint32_t>(j), idx, cnt);
         }
         for (size_t q = 0; q < cnt; ++q)
-            ob[idx[q]] = F::glibc(xb[idx[q]]);
+            ob[idx[q]] = std::sin(xb[idx[q]]);
         deferred += cnt;
     }
     return deferred;
 }
 #endif
 
+#ifdef __x86_64__
 /**
- * The transform: the variant's glibc-exact log pass, then the
- * sqrt/divide/scale half, which vectorizes, in finishOne's association
- * order. The sqrt runs through `sqrtInPlace`, the variant's packed
- * sqrt, because std::sqrt stays scalar under GCC's default
- * -fmath-errno.
+ * The transform in one pass, L lanes wide: per vector, LogLanes' log
+ * of r^2, then -2 log / r^2, its sqrt and the y multiply, with every
+ * value kept in registers, so the divider's work overlaps the log
+ * polynomial. Per block of kExactBlock elements, the lanes
+ * deferredLanes cannot vouch for are collected with no data-dependent
+ * branch; after the vector loop they, and a short tail, are recomputed
+ * whole by unitOne with glibc's log. Returns the elements recomputed.
  */
-template <void (*sqrtInPlace)(double *, size_t),
-          size_t (*logPass)(const double *, size_t, double *)>
-[[gnu::always_inline]] inline void
-polarFinishBody(const double *__restrict ys,
-                const double *__restrict r2s,
-                const double *__restrict stds, size_t n, double mean,
-                double *__restrict out)
+template <size_t L>
+[[gnu::always_inline]] inline size_t
+polarUnitBody(const double *__restrict ys, const double *__restrict r2s,
+              size_t n, double *__restrict out)
 {
-    if (n < 4) {
-        // Too short for the passes below to pay: the same operations,
-        // fused per element.
-        for (size_t j = 0; j < n; ++j)
-            out[j] = finishOne(ys[j], r2s[j], stds[j], mean);
-        return;
+    using D = typename Lanes<L>::D;
+    const std::integral_constant<size_t, L> lanes;
+    uint32_t idx[kExactBlock + L]; // only [0, cnt) is read
+    size_t recomputed = 0;
+    for (size_t base = 0; base < n; base += kExactBlock) {
+        const size_t m = std::min(kExactBlock, n - base);
+        const size_t full = m / L * L;
+        const double *yb = ys + base;
+        const double *rb = r2s + base;
+        double *ob = out + base;
+        size_t cnt = 0;
+        for (size_t j = 0; j < full; j += L) {
+            D y{}, r2{}, lg{}, e{}, d{}, mult{};
+            std::memcpy(&y, yb + j, sizeof(D));
+            std::memcpy(&r2, rb + j, sizeof(D));
+            LogLanes::eval<L>(r2, lg, e, d);
+            sqrtLanes(-2.0 * lg / r2, mult);
+            const D v = y * mult;
+            std::memcpy(ob + j, &v, sizeof(D));
+            collectLanes(lanes,
+                         deferredLanes(lg, e, d, LogLanes::kLo,
+                                       LogLanes::kHi, LogLanes::kGuard),
+                         static_cast<uint32_t>(j), idx, cnt);
+        }
+        for (size_t q = 0; q < cnt; ++q)
+            ob[idx[q]] = unitOne(yb[idx[q]], rb[idx[q]]);
+        for (size_t j = full; j < m; ++j)
+            ob[j] = unitOne(yb[j], rb[j]);
+        recomputed += cnt + (m - full);
     }
-    // `out` doubles as the scratch row: log, then -2 log / r2, then
-    // its sqrt, then the scaled draw.
-    logPass(r2s, n, out);
-    for (size_t j = 0; j < n; ++j)
-        out[j] = -2.0 * out[j] / r2s[j];
-    sqrtInPlace(out, n);
-    for (size_t j = 0; j < n; ++j)
-        out[j] = ys[j] * out[j] * stds[j] + mean;
+    return recomputed;
 }
+#endif
 
-/** Scalar tail of the packed sqrt loops below. */
+/**
+ * expandScaled in scalar code: every element reads the next unit draw
+ * and keeps it only when its std is positive, by a bit mask rather
+ * than a select, which GCC compiles to a branch that the holes'
+ * data-dependent pattern mispredicts. A hole after the last positive
+ * std reads the value just past them (k <= i < n, so the read stays
+ * below n).
+ */
 [[gnu::always_inline]] inline void
-sqrtTail(double *t, size_t j, size_t m)
+expandScaledBody(const double *__restrict unit,
+                 const double *__restrict stds, size_t n, double mean,
+                 double *__restrict out)
 {
-    for (; j < m; ++j)
-        t[j] = std::sqrt(t[j]);
+    const uint64_t mean_bits = std::bit_cast<uint64_t>(mean);
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const double s = stds[i];
+        const uint64_t positive = s > 0.0;
+        const uint64_t keep = 0 - positive;
+        const double v = unit[k] * s + mean;
+        out[i] = std::bit_cast<double>(
+            (std::bit_cast<uint64_t>(v) & keep) | (mean_bits & ~keep));
+        k += positive;
+    }
 }
 
 /** polarOne from the scalar-compaction pass: want == 1, finished here. */
@@ -638,41 +708,28 @@ polarPairsBaseline(const uint64_t *u, size_t pairs, size_t want,
     return polarPairsBody<2, false>(u, pairs, want, ys, r2s, accepted);
 }
 
-/** sqrtpd is IEEE correctly rounded, exactly like the scalar sqrt. */
-void
-sqrtBaseline(double *t, size_t m)
-{
-    size_t j = 0;
-#ifdef __x86_64__
-    for (; j + 2 <= m; j += 2)
-        _mm_storeu_pd(t + j, _mm_sqrt_pd(_mm_loadu_pd(t + j)));
-#endif
-    sqrtTail(t, j, m);
-}
-
-size_t
-glibcLogBaseline(const double *x, size_t n, double *out)
-{
-    for (size_t j = 0; j < n; ++j)
-        out[j] = LogLanes::glibc(x[j]);
-    return n;
-}
-
 size_t
 glibcSinBaseline(const double *x, size_t n, double *out)
 {
     for (size_t j = 0; j < n; ++j)
-        out[j] = SinLanes::glibc(x[j]);
+        out[j] = std::sin(x[j]);
+    return n;
+}
+
+size_t
+polarUnitBaseline(const double *ys, const double *r2s, size_t n,
+                  double *out)
+{
+    for (size_t j = 0; j < n; ++j)
+        out[j] = unitOne(ys[j], r2s[j]);
     return n;
 }
 
 void
-polarFinishBaseline(const double *ys, const double *r2s,
-                    const double *stds, size_t n, double mean,
-                    double *out)
+expandScaledBaseline(const double *unit, const double *stds, size_t n,
+                     double mean, double *out)
 {
-    polarFinishBody<sqrtBaseline, glibcLogBaseline>(ys, r2s, stds, n, mean,
-                                                    out);
+    expandScaledBody(unit, stds, n, mean, out);
 }
 
 size_t
@@ -697,32 +754,23 @@ polarPairsAvx2(const uint64_t *u, size_t pairs, size_t want, double *ys,
     return polarPairsBody<4, false>(u, pairs, want, ys, r2s, accepted);
 }
 
-[[gnu::target("avx2,fma")]] void
-sqrtAvx2(double *t, size_t m)
-{
-    size_t j = 0;
-    for (; j + 4 <= m; j += 4)
-        _mm256_storeu_pd(t + j, _mm256_sqrt_pd(_mm256_loadu_pd(t + j)));
-    sqrtTail(t, j, m);
-}
-
-[[gnu::target("avx2,fma"), gnu::flatten]] size_t
-glibcLogAvx2(const double *x, size_t n, double *out)
-{
-    return exactPassBody<4, LogLanes>(x, n, out);
-}
-
 [[gnu::target("avx2,fma"), gnu::flatten]] size_t
 glibcSinAvx2(const double *x, size_t n, double *out)
 {
-    return exactPassBody<4, SinLanes>(x, n, out);
+    return sinPassBody<4>(x, n, out);
+}
+
+[[gnu::target("avx2,fma"), gnu::flatten]] size_t
+polarUnitAvx2(const double *ys, const double *r2s, size_t n, double *out)
+{
+    return polarUnitBody<4>(ys, r2s, n, out);
 }
 
 [[gnu::target("avx2,fma")]] void
-polarFinishAvx2(const double *ys, const double *r2s, const double *stds,
-                size_t n, double mean, double *out)
+expandScaledAvx2(const double *unit, const double *stds, size_t n,
+                 double mean, double *out)
 {
-    polarFinishBody<sqrtAvx2, glibcLogAvx2>(ys, r2s, stds, n, mean, out);
+    expandScaledBody(unit, stds, n, mean, out);
 }
 
 [[gnu::target("avx2,fma")]] size_t
@@ -792,22 +840,46 @@ refillAvx512(uint64_t *state, uint64_t *out)
 }
 
 [[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt"), gnu::flatten]] size_t
-glibcLogAvx512(const double *x, size_t n, double *out)
+glibcSinAvx512(const double *x, size_t n, double *out)
 {
-    return exactPassBody<8, LogLanes>(x, n, out);
+    return sinPassBody<8>(x, n, out);
 }
 
 [[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt"), gnu::flatten]] size_t
-glibcSinAvx512(const double *x, size_t n, double *out)
+polarUnitAvx512(const double *ys, const double *r2s, size_t n, double *out)
 {
-    return exactPassBody<8, SinLanes>(x, n, out);
+    return polarUnitBody<8>(ys, r2s, n, out);
 }
 
+/**
+ * expandScaled eight elements per step: the positive-std mask, the
+ * next popcount(mask) unit draws by a masked load (nothing past them is
+ * read), vexpandpd in register form onto the mask's lanes (the memory
+ * form is microcoded on Zen 4), then unit * std + mean there and the
+ * mean elsewhere. The last step runs under a mask of the live lanes.
+ */
 [[gnu::target("avx512f,avx512dq,avx512vl,bmi2,popcnt")]] void
-polarFinishAvx512(const double *ys, const double *r2s,
-                  const double *stds, size_t n, double mean, double *out)
+expandScaledAvx512(const double *unit, const double *stds, size_t n,
+                   double mean, double *out)
 {
-    polarFinishBody<sqrtAvx2, glibcLogAvx512>(ys, r2s, stds, n, mean, out);
+    const __m512d mv = _mm512_set1_pd(mean);
+    size_t k = 0;
+    for (size_t i = 0; i < n; i += 8) {
+        const __mmask8 live =
+            n - i >= 8 ? 0xFF : static_cast<__mmask8>((1u << (n - i)) - 1);
+        const __m512d s = _mm512_maskz_loadu_pd(live, stds + i);
+        const __mmask8 positive =
+            _mm512_cmp_pd_mask(s, _mm512_setzero_pd(), _CMP_GT_OQ);
+        const unsigned take = __builtin_popcount(positive);
+        const __m512d u = _mm512_maskz_expand_pd(
+            positive,
+            _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << take) - 1),
+                                  unit + k));
+        _mm512_mask_storeu_pd(
+            out + i, live,
+            _mm512_mask_add_pd(mv, positive, _mm512_mul_pd(u, s), mv));
+        k += take;
+    }
 }
 
 // One draw converts one 256-bit vector of four pairs, which nearly
@@ -834,25 +906,25 @@ rngKernelVariants()
     };
     static const Supported supported = [] {
         Supported s{};
-        s.list[s.count++] = {"baseline",         refillBaseline,
-                             polarPairsBaseline, polarFinishBaseline,
-                             polarOneBaseline,   glibcLogBaseline,
+        s.list[s.count++] = {"baseline",           refillBaseline,
+                             polarPairsBaseline,   polarUnitBaseline,
+                             expandScaledBaseline, polarOneBaseline,
                              glibcSinBaseline};
 #ifdef __x86_64__
         __builtin_cpu_init();
         if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-            s.list[s.count++] = {"avx2",          refillAvx2,
-                                 polarPairsAvx2,  polarFinishAvx2,
-                                 polarOneAvx2,    glibcLogAvx2,
+            s.list[s.count++] = {"avx2",           refillAvx2,
+                                 polarPairsAvx2,   polarUnitAvx2,
+                                 expandScaledAvx2, polarOneAvx2,
                                  glibcSinAvx2};
         if (__builtin_cpu_supports("avx512f") &&
             __builtin_cpu_supports("avx512dq") &&
             __builtin_cpu_supports("avx512vl") &&
             __builtin_cpu_supports("bmi2") &&
             __builtin_cpu_supports("popcnt"))
-            s.list[s.count++] = {"avx512",         refillAvx512,
-                                 polarPairsAvx512, polarFinishAvx512,
-                                 polarOneAvx512,   glibcLogAvx512,
+            s.list[s.count++] = {"avx512",           refillAvx512,
+                                 polarPairsAvx512,   polarUnitAvx512,
+                                 expandScaledAvx512, polarOneAvx512,
                                  glibcSinAvx512};
 #endif
         return s;
@@ -861,4 +933,5 @@ rngKernelVariants()
 }
 
 } // namespace detail
+
 } // namespace lt

@@ -99,32 +99,64 @@ TEST(ExecutionEngine, FastSamplerBitIdenticalAcrossThreadCounts)
 
 TEST(ExecutionEngine, GaussianDrawCounterExactInStats)
 {
-    // Encoding noise off + systematic on: the kernels take exactly one
-    // eps draw per (output element, k-slice). The engine must fold the
-    // per-shard counts into GemmStats::gaussian_draws losslessly, at
-    // any thread count, for both samplers.
+    // The engine must fold the per-shard counts into
+    // GemmStats::gaussian_draws losslessly, at any thread count, for
+    // both samplers. Encoding noise off + systematic on: the kernels
+    // take exactly one eps draw per (output element, k-slice).
+    // Encoding noise on, with some operand entries exactly 0: per
+    // (output, k-slice), one magnitude draw per nonzero quantized x
+    // and y element (a zero std draws nothing), one phase draw per
+    // wavelength of the slice, and the systematic draw.
     for (core::NoiseSampler sampler :
          {core::NoiseSampler::BitExact, core::NoiseSampler::Fast}) {
-        core::DptcConfig dcfg;
-        dcfg.input_bits = 8;
-        dcfg.noise.enable_encoding_noise = false;
-        dcfg.noise.sampler = sampler;
-        Rng rng(19);
-        Matrix a = randomMatrix(40, 30, rng);
-        Matrix b = randomMatrix(30, 26, rng);
-        auto cdiv = [](size_t x, size_t y) { return (x + y - 1) / y; };
-        const size_t expected =
-            a.rows() * b.cols() * cdiv(a.cols(), dcfg.nlambda);
-        for (size_t threads : {1u, 4u}) {
-            ThreadPool::setGlobalThreads(threads);
-            nn::ExecutionEngine engine(dcfg, core::EvalMode::Noisy);
-            engine.gemm(a, b);
-            EXPECT_EQ(engine.stats().gaussian_draws.load(), expected)
-                << "threads " << threads;
-            engine.resetStats();
-            EXPECT_EQ(engine.stats().gaussian_draws.load(), 0u);
+        for (bool encoding : {false, true}) {
+            core::DptcConfig dcfg;
+            dcfg.input_bits = 8;
+            dcfg.noise.enable_encoding_noise = encoding;
+            dcfg.noise.sampler = sampler;
+            Rng rng(19);
+            Matrix a = randomMatrix(40, 30, rng);
+            Matrix b = randomMatrix(30, 26, rng);
+            auto cdiv = [](size_t x, size_t y) { return (x + y - 1) / y; };
+            size_t expected =
+                a.rows() * b.cols() * cdiv(a.cols(), dcfg.nlambda);
+            if (encoding) {
+                for (size_t r = 0; r < a.rows(); ++r)
+                    for (size_t k = 0; k < a.cols(); ++k)
+                        if ((r + 2 * k) % 7 == 0)
+                            a(r, k) = 0.0;
+                for (size_t k = 0; k < b.rows(); ++k)
+                    for (size_t c = 0; c < b.cols(); ++c)
+                        if ((3 * k + c) % 5 == 0)
+                            b(k, c) = 0.0;
+                const Matrix qa = core::Dptc::normalizeQuantize(
+                    a, core::Dptc::maxAbs(a), dcfg.input_bits);
+                const Matrix qb = core::Dptc::normalizeQuantize(
+                    b, core::Dptc::maxAbs(b), dcfg.input_bits);
+                expected = 0;
+                for (size_t r = 0; r < a.rows(); ++r)
+                    for (size_t c = 0; c < b.cols(); ++c)
+                        for (size_t k0 = 0; k0 < a.cols();
+                             k0 += dcfg.nlambda) {
+                            const size_t k1 =
+                                std::min(a.cols(), k0 + dcfg.nlambda);
+                            for (size_t k = k0; k < k1; ++k)
+                                expected += (qa(r, k) != 0.0) +
+                                            (qb(k, c) != 0.0);
+                            expected += (k1 - k0) + 1;
+                        }
+            }
+            for (size_t threads : {1u, 4u}) {
+                ThreadPool::setGlobalThreads(threads);
+                nn::ExecutionEngine engine(dcfg, core::EvalMode::Noisy);
+                engine.gemm(a, b);
+                EXPECT_EQ(engine.stats().gaussian_draws.load(), expected)
+                    << "encoding " << encoding << " threads " << threads;
+                engine.resetStats();
+                EXPECT_EQ(engine.stats().gaussian_draws.load(), 0u);
+            }
+            ThreadPool::setGlobalThreads(0);
         }
-        ThreadPool::setGlobalThreads(0);
     }
 }
 

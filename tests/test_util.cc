@@ -429,9 +429,7 @@ TEST_P(RngKernelVariant, CraftedWordsHitClampAndZeroRadius)
     EXPECT_EQ(ys[0], 1.0 - 0x1p-52);
     EXPECT_EQ(ys[1], 1.0 - 0x1p-52);
     EXPECT_EQ(r2s[3], 1.0);
-    const std::vector<double> ones(pairs, 1.0);
-    k->polarFinish(ys.data(), r2s.data(), ones.data(), accepted, 0.0,
-                   vals.data());
+    k->polarUnit(ys.data(), r2s.data(), accepted, vals.data());
 
     ReplayWords replay{&words};
     for (size_t i = 0; i < accepted; ++i) {
@@ -522,10 +520,8 @@ TEST_P(RngKernelVariant, CompactionStopsAtTheWantedAccept)
                     EXPECT_EQ(ys[i], kSentinel) << where << " slot " << i;
                     EXPECT_EQ(r2s[i], kSentinel) << where << " slot " << i;
                 }
-                const std::vector<double> ones(want, 1.0);
                 std::vector<double> vals(want);
-                k->polarFinish(ys.data(), r2s.data(), ones.data(), want,
-                               0.0, vals.data());
+                k->polarUnit(ys.data(), r2s.data(), want, vals.data());
                 EXPECT_EQ(vals, expect) << where;
 
                 double one = 0.0;
@@ -613,14 +609,22 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
+/** The polar transform in scalar code: y * sqrt(-2 log r2 / r2). */
+double
+scalarUnit(double y, double r2)
+{
+    return y * std::sqrt(-2.0 * std::log(r2) / r2);
+}
+
 /**
- * Run one glibcLog/glibcSin entry over `in` in calls of 1-700
- * elements and return the elements that differ bitwise from `ref`
- * (printing the first few); `deferred` sums the calls' returns.
+ * Run `pass(base, n, out)`, a kernel over the elements [base, base + n)
+ * of its inputs, over [0, in.size()) in calls of 1-700 elements and
+ * return the elements that differ bitwise from `ref` (printing the
+ * first few with their input `in`); `deferred` sums the calls' returns.
  */
+template <typename Pass>
 size_t
-exactPassMismatches(size_t (*pass)(const double *, size_t, double *),
-                    const std::vector<double> &in,
+exactPassMismatches(Pass pass, const std::vector<double> &in,
                     const std::vector<double> &ref, size_t &deferred)
 {
     std::vector<double> out(in.size());
@@ -629,15 +633,49 @@ exactPassMismatches(size_t (*pass)(const double *, size_t, double *),
     for (size_t base = 0; base < in.size();) {
         const size_t n = std::min(
             in.size() - base, static_cast<size_t>(plan.uniformInt(1, 700)));
-        deferred += pass(in.data() + base, n, out.data() + base);
+        deferred += pass(base, n, out.data() + base);
         base += n;
     }
     size_t bad = 0;
     for (size_t i = 0; i < in.size(); ++i)
         if (!sameBits(out[i], ref[i]) && bad++ < 5)
             ADD_FAILURE() << std::hexfloat << "input " << in[i] << " gave "
-                          << out[i] << ", glibc " << ref[i];
+                          << out[i] << ", scalar " << ref[i];
     return bad;
+}
+
+/**
+ * polarUnit over the pairs (ys[i], r2s[i]) against scalarUnit, as
+ * exactPassMismatches counts them.
+ */
+size_t
+polarUnitMismatches(const detail::RngKernels &k,
+                    const std::vector<double> &ys,
+                    const std::vector<double> &r2s, size_t &recomputed)
+{
+    std::vector<double> ref(r2s.size());
+    for (size_t i = 0; i < r2s.size(); ++i)
+        ref[i] = scalarUnit(ys[i], r2s[i]);
+    return exactPassMismatches(
+        [&](size_t base, size_t n, double *out) {
+            return k.polarUnit(ys.data() + base, r2s.data() + base, n, out);
+        },
+        r2s, ref, recomputed);
+}
+
+/** glibcSin over `phases` against glibc's sin, likewise. */
+size_t
+sinMismatches(const detail::RngKernels &k, const std::vector<double> &phases,
+              size_t &deferred)
+{
+    std::vector<double> ref(phases.size());
+    for (size_t i = 0; i < phases.size(); ++i)
+        ref[i] = std::sin(phases[i]);
+    return exactPassMismatches(
+        [&](size_t base, size_t n, double *out) {
+            return k.glibcSin(phases.data() + base, n, out);
+        },
+        phases, ref, deferred);
 }
 
 /** Engine phases: -pi/2 + dispersion phase error + N(0, sigma^2). */
@@ -661,35 +699,60 @@ constexpr size_t kExactSamples = size_t{1} << 22;
 
 } // namespace
 
-TEST_P(RngKernelVariant, GlibcLogMatchesGlibcOnPolarRadii)
+TEST_P(RngKernelVariant, GlibcPolarUnitMatchesScalarFormula)
 {
-    // 2^22 accepted r^2 values from this variant's own candidate pass
-    // over mt19937_64 words: every result must equal glibc's scalar
-    // log bit for bit (run under both glibc libm variants in CI), and
-    // the SIMD variants must keep most lanes out of glibc.
+    // 2^22 accepted (y, r^2) pairs from this variant's own candidate
+    // pass over mt19937_64 words, then the crafted pairs the candidate
+    // pass rarely yields: r^2 == 1 (its log is 0) with y = 0, 2^-14
+    // and -2^-51, the clamped y = 1 - 2^-52 and the smallest r^2,
+    // 2^-106, each in several lane positions. polarUnit must equal the
+    // scalar formula with glibc's log bit for bit (run under both
+    // glibc libm variants in CI), and the SIMD variants must recompute
+    // few lanes (the log guard is 1/40 ulp).
     const detail::RngKernels *k = kernels();
     if (k == nullptr)
         GTEST_SKIP() << GetParam() << " kernels: not supported here";
-    std::mt19937_64 eng(0x1061);
+    std::mt19937_64 eng(0xF1A1);
     std::vector<uint64_t> words(2 * 4096);
-    std::vector<double> ys(4096), r2s;
+    std::vector<double> ys, r2s;
     while (r2s.size() < kExactSamples) {
         for (uint64_t &w : words)
             w = eng();
         size_t accepted = 0;
         const size_t start = r2s.size();
+        ys.resize(start + 4096);
         r2s.resize(start + 4096);
-        k->polarPairs(words.data(), 4096, 4096, ys.data(),
+        k->polarPairs(words.data(), 4096, 4096, ys.data() + start,
                       r2s.data() + start, &accepted);
+        ys.resize(start + accepted);
         r2s.resize(start + accepted);
     }
-    std::vector<double> ref(r2s.size());
-    for (size_t i = 0; i < r2s.size(); ++i)
-        ref[i] = std::log(r2s[i]);
-    size_t deferred = 0;
-    EXPECT_EQ(exactPassMismatches(k->glibcLog, r2s, ref, deferred), 0u);
+    const size_t random = r2s.size();
+    const uint64_t half = 1ULL << 63;
+    const uint64_t crafted[][2] = {{0, half},
+                                   {1ULL << 34, half + (1ULL << 49)},
+                                   {0, half - 4096},
+                                   {half, ~0ULL},
+                                   {half, ~0ULL - 1023},
+                                   {half - 1024, half},
+                                   {half, half - 1024}};
+    for (size_t rep = 0; rep < 9; ++rep)
+        for (const uint64_t(&pair)[2] : crafted) {
+            double y = 0.0, r2 = 0.0;
+            size_t accepted = 0;
+            k->polarPairs(pair, 1, 1, &y, &r2, &accepted);
+            ASSERT_EQ(accepted, 1u);
+            ys.push_back(y);
+            r2s.push_back(r2);
+        }
+    EXPECT_EQ(r2s[random], 1.0);
+    EXPECT_EQ(ys[random + 3], 1.0 - 0x1p-52);
+    EXPECT_EQ(r2s[random + 5], 0x1p-106);
+
+    size_t recomputed = 0;
+    EXPECT_EQ(polarUnitMismatches(*k, ys, r2s, recomputed), 0u);
     if (std::string_view(k->name) != "baseline")
-        EXPECT_LT(deferred, r2s.size() / 5) << "lanes that called glibc";
+        EXPECT_LT(recomputed, r2s.size() / 10) << "lanes recomputed";
 }
 
 TEST_P(RngKernelVariant, GlibcSinMatchesGlibcOnEnginePhases)
@@ -703,12 +766,8 @@ TEST_P(RngKernelVariant, GlibcSinMatchesGlibcOnEnginePhases)
     for (double scale : {1.0, 2.0}) {
         const std::vector<double> phases =
             enginePhases(kExactSamples, scale, 0x5147);
-        std::vector<double> ref(phases.size());
-        for (size_t i = 0; i < phases.size(); ++i)
-            ref[i] = std::sin(phases[i]);
         size_t deferred = 0;
-        EXPECT_EQ(exactPassMismatches(k->glibcSin, phases, ref, deferred),
-                  0u)
+        EXPECT_EQ(sinMismatches(*k, phases, deferred), 0u)
             << scale << "x phase noise";
         if (std::string_view(k->name) != "baseline")
             EXPECT_LT(deferred, phases.size() / 5)
@@ -716,14 +775,15 @@ TEST_P(RngKernelVariant, GlibcSinMatchesGlibcOnEnginePhases)
     }
 }
 
-TEST_P(RngKernelVariant, GlibcLogAndSinMatchGlibcAtEdgeInputs)
+TEST_P(RngKernelVariant, GlibcPolarUnitAndSinMatchAtEdgeInputs)
 {
-    // Inputs at the ends of each lane's domain and past them, which
-    // must fall back to glibc: r^2 == 1 (log 0), powers of two down to
-    // the smallest r^2 the candidate pass can produce (2^-106, from
-    // the words 2^63 - 2^10 and 2^63), their neighbors, the smallest
-    // normal, subnormals, 0, negatives, values above 1, infinities and
-    // NaN; phases at and just past both band edges |phi + pi/2| = 1/4,
+    // Inputs at the ends of each vector lane's domain and past them,
+    // which must fall back to glibc: r^2 == 1 (log 0), powers of two
+    // down to the smallest r^2 the candidate pass can produce (2^-106,
+    // from the words 2^63 - 2^10 and 2^63), their neighbors, the
+    // smallest normal, subnormals, 0, negatives, values above 1,
+    // infinities and NaN, each paired with a random y for polarUnit;
+    // phases at and just past both band edges |phi + pi/2| = 1/4,
     // within 2^-20 of -pi/2 (where sin rounds to -1), and far outside.
     const detail::RngKernels *k = kernels();
     if (k == nullptr)
@@ -737,27 +797,31 @@ TEST_P(RngKernelVariant, GlibcLogAndSinMatchGlibcAtEdgeInputs)
     ASSERT_EQ(accepted, 1u);
     ASSERT_EQ(smallest, 0x1p-106);
 
-    std::vector<double> logs = {1.0,
-                                std::nextafter(1.0, 0.0),
-                                0x1p-1022,
-                                0x1p-1074,
-                                0x1.8p-1040,
-                                0.0,
-                                -0.0,
-                                -0.5,
-                                1.5,
-                                2.0,
-                                INFINITY,
-                                -INFINITY,
-                                NAN,
-                                std::bit_cast<double>(kLogOff),
-                                std::nextafter(
-                                    std::bit_cast<double>(kLogOff), 0.0)};
+    std::vector<double> r2s = {1.0,
+                               std::nextafter(1.0, 0.0),
+                               0x1p-1022,
+                               0x1p-1074,
+                               0x1.8p-1040,
+                               0.0,
+                               -0.0,
+                               -0.5,
+                               1.5,
+                               2.0,
+                               INFINITY,
+                               -INFINITY,
+                               NAN,
+                               std::bit_cast<double>(kLogOff),
+                               std::nextafter(
+                                   std::bit_cast<double>(kLogOff), 0.0)};
     for (int e = 0; e <= 106; ++e) {
         const double p = std::ldexp(1.0, -e);
-        logs.insert(logs.end(), {p, std::nextafter(p, 0.0),
-                                 std::nextafter(p, 2.0)});
+        r2s.insert(r2s.end(), {p, std::nextafter(p, 0.0),
+                               std::nextafter(p, 2.0)});
     }
+    Rng gen(0x1061);
+    std::vector<double> ys(r2s.size());
+    for (double &v : ys)
+        v = gen.uniform(-1.0, 1.0);
     std::vector<double> phases = {-M_PI / 2.0, -3.0, 0.0, 1.5, M_PI / 2.0,
                                   -M_PI, INFINITY, NAN};
     for (double edge : {-0.25, 0.25}) {
@@ -775,46 +839,99 @@ TEST_P(RngKernelVariant, GlibcLogAndSinMatchGlibcAtEdgeInputs)
     for (int i = 0; i < 256; ++i)
         phases.push_back(-kPio2Hi + near.uniform(-0x1p-20, 0x1p-20));
 
-    for (bool sin : {false, true}) {
-        const std::vector<double> &in = sin ? phases : logs;
-        std::vector<double> ref(in.size());
-        for (size_t i = 0; i < in.size(); ++i)
-            ref[i] = sin ? std::sin(in[i]) : std::log(in[i]);
-        size_t deferred = 0;
-        EXPECT_EQ(exactPassMismatches(sin ? k->glibcSin : k->glibcLog, in,
-                                      ref, deferred),
-                  0u)
-            << (sin ? "sin" : "log");
-    }
+    size_t deferred = 0;
+    EXPECT_EQ(polarUnitMismatches(*k, ys, r2s, deferred), 0u) << "polarUnit";
+    EXPECT_EQ(sinMismatches(*k, phases, deferred), 0u) << "sin";
 }
 
-TEST_P(RngKernelVariant, GlibcLogAndSinWriteExactlyTheirOutputs)
+TEST_P(RngKernelVariant, GlibcPolarUnitAndSinWriteExactlyTheirOutputs)
 {
     // Every length from 0 to 33 (empty, short tails, whole vectors and
-    // tails after them): out[0, n) equals glibc and the slots past it
-    // keep their sentinels. ASan does not instrument the AVX-512 masked
-    // and compress stores, so the sentinels are what checks them.
+    // tails after them), polarUnit over pairs that end in r^2 == 1 and
+    // the clamped y: out[0, n) equals the scalar code and the slots
+    // past it keep their sentinels. ASan does not instrument the
+    // AVX-512 masked and compress stores, so the sentinels are what
+    // checks them.
     const detail::RngKernels *k = kernels();
     if (k == nullptr)
         GTEST_SKIP() << GetParam() << " kernels: not supported here";
     constexpr double kSentinel = -123.0;
     const std::vector<double> phases = enginePhases(33, 1.0, 0x7A11);
-    std::vector<double> r2s(33);
+    std::vector<double> ys(33), r2s(33);
     Rng gen(0x7A12);
-    for (double &r : r2s)
-        r = gen.uniform(0x1p-20, 1.0);
+    for (size_t i = 0; i < 33; ++i) {
+        r2s[i] = gen.uniform(0x1p-20, 1.0);
+        ys[i] = gen.uniform(-1.0, 1.0);
+    }
+    r2s[31] = r2s[32] = 1.0;
+    ys[32] = 1.0 - 0x1p-52;
     for (size_t n = 0; n <= 33; ++n) {
         for (bool sin : {false, true}) {
-            const std::vector<double> &in = sin ? phases : r2s;
             std::vector<double> out(n + 16, kSentinel);
-            (sin ? k->glibcSin : k->glibcLog)(in.data(), n, out.data());
+            if (sin)
+                k->glibcSin(phases.data(), n, out.data());
+            else
+                k->polarUnit(ys.data(), r2s.data(), n, out.data());
             for (size_t i = 0; i < n; ++i)
-                EXPECT_TRUE(sameBits(out[i], sin ? std::sin(in[i])
-                                                 : std::log(in[i])))
-                    << (sin ? "sin" : "log") << " n " << n << " slot " << i;
+                EXPECT_TRUE(sameBits(out[i], sin ? std::sin(phases[i])
+                                                 : scalarUnit(ys[i], r2s[i])))
+                    << (sin ? "sin" : "polarUnit") << " n " << n << " slot "
+                    << i;
             for (size_t i = n; i < out.size(); ++i)
                 EXPECT_EQ(out[i], kSentinel)
-                    << (sin ? "sin" : "log") << " n " << n << " slot " << i;
+                    << (sin ? "sin" : "polarUnit") << " n " << n << " slot "
+                    << i;
+        }
+    }
+}
+
+TEST_P(RngKernelVariant, ExpandScaledSpreadsUnitDrawsOverPositiveStds)
+{
+    // Every length from 0 to 33, with one hole at every position, all
+    // holes, no holes, and holes every third element: out[i] must be
+    // unit[k] * stds[i] + mean bit for bit (k counting the positive
+    // stds before i) and the mean at a hole (zero, negative or -0.0
+    // std). The slots after out keep their sentinels, and the unit
+    // buffer's slots after its valid values hold sentinels that must
+    // not reach out: ASan does not instrument the AVX-512 masked
+    // loads and stores.
+    const detail::RngKernels *k = kernels();
+    if (k == nullptr)
+        GTEST_SKIP() << GetParam() << " kernels: not supported here";
+    constexpr double kSentinel = -123.0;
+    const double mean = 0.375;
+    Rng gen(0xE8A4);
+    for (size_t n = 0; n <= 33; ++n) {
+        std::vector<std::vector<double>> patterns;
+        for (size_t hole = 0; hole < n; ++hole) {
+            std::vector<double> stds(n, 0.5);
+            stds[hole] = hole % 3 == 0 ? 0.0 : hole % 3 == 1 ? -1.0 : -0.0;
+            patterns.push_back(stds);
+        }
+        patterns.emplace_back(n, 0.0);
+        patterns.emplace_back(n, 0.25);
+        patterns.emplace_back(n, 0.0);
+        for (size_t i = 0; i < n; ++i)
+            patterns.back()[i] = i % 3 == 1 ? 0.0 : gen.uniform(0.01, 2.0);
+        for (const std::vector<double> &stds : patterns) {
+            const size_t positive = static_cast<size_t>(
+                std::count_if(stds.begin(), stds.end(),
+                              [](double s) { return s > 0.0; }));
+            std::vector<double> unit(n + 16, kSentinel);
+            for (size_t j = 0; j < positive; ++j)
+                unit[j] = gen.uniform(-3.0, 3.0);
+            std::vector<double> out(n + 16, kSentinel);
+            k->expandScaled(unit.data(), stds.data(), n, mean, out.data());
+            size_t used = 0;
+            for (size_t i = 0; i < n; ++i) {
+                const double expect =
+                    stds[i] > 0.0 ? unit[used++] * stds[i] + mean : mean;
+                EXPECT_TRUE(sameBits(out[i], expect))
+                    << "n " << n << " slot " << i << " positive "
+                    << positive;
+            }
+            for (size_t i = n; i < out.size(); ++i)
+                EXPECT_EQ(out[i], kSentinel) << "n " << n << " slot " << i;
         }
     }
 }
